@@ -266,7 +266,7 @@ def cmd_plot(args) -> int:
             if s.chart == "affine" and s.isolated
         ]
         if isinstance(body, PencilBody):
-            cloud = sample_kippenhahn_curve(body.pencil, cfg.resolution, tol=cfg.tol_eigen)
+            cloud = sample_kippenhahn_curve(body.pencil, cfg.resolution)
             svg = svgfig.render_kippenhahn(
                 cloud.points, singular_points=singular, caption=f"{stem}: boundary generating curve"
             )

@@ -25,8 +25,8 @@ from .exactnum import (
 from .mpoly import MultiPoly, parse_poly
 from .matrixpencil import (
     HermitianPencil,
+    _direction_sweep,
     det_along_line,
-    eigen_hermitian,
     pencil_det,
     support_function,
     sample_numrange_boundary,
@@ -498,29 +498,21 @@ class PointCloud:
         return "\n".join(lines) + "\n"
 
 
-def sample_kippenhahn_curve(P: HermitianPencil, m: int, tol: float = 1e-12) -> PointCloud:
+def sample_kippenhahn_curve(P: HermitianPencil, m: int) -> PointCloud:
     """Quadratic-form images of every eigenvector branch of cos/sin pencils.
 
     For each direction the n eigenvectors of x1 K + x2 L produce n points;
     together they sweep all real branches of the boundary generating curve,
     including the inner branches enveloped by non-extremal tangent lines.
     """
-    if m < 3:
-        raise ValueError("need at least 3 directions")
-    Kf, Lf = P._floats()
-    pts, thetas, branches = [], [], []
-    for j in range(m):
-        theta = 2.0 * math.pi * j / m
-        M = math.cos(theta) * Kf + math.sin(theta) * Lf
-        res = eigen_hermitian(M, tol=tol)
-        for k, vec in enumerate(res.eigenvectors):
-            eta = np.array(vec)
-            y1 = float(np.real(np.vdot(eta, Kf @ eta)))
-            y2 = float(np.real(np.vdot(eta, Lf @ eta)))
-            pts.append((y1, y2))
-            thetas.append(theta)
-            branches.append(k)
-    return PointCloud(pts, thetas, branches, meta={"m": m, "n": P.n})
+    thetas, _, images = _direction_sweep(P, m)
+    n = P.n
+    return PointCloud(
+        [(float(y1), float(y2)) for y1, y2 in images.reshape(-1, 2)],
+        [theta for theta in thetas for _ in range(n)],
+        list(range(n)) * m,
+        meta={"m": m, "n": n},
+    )
 
 
 def convex_hull(points) -> list:
@@ -657,6 +649,31 @@ def _coords_as_wpolys(coords):
     return polys, base.poly, base.interval
 
 
+def _polar_line_param(point_coords, eps):
+    """Denominator-free parametrization P + t Q of the polar line of a point.
+
+    Returns (Pp, Qq, modulus, w_iv): the coordinates of P and Q as integer
+    polynomials in the point's generator (see ``_coords_as_wpolys``), its
+    modulus, and its isolating interval, refined to width eps when the point
+    is algebraic.  Pivots on the coordinate of largest magnitude:
+    P = y_piv e_j - y_j e_piv, Q = y_piv e_k - y_k e_piv.
+    """
+    coords, modulus, w_iv = _coords_as_wpolys(point_coords)
+    gen = next((c for c in point_coords if isinstance(c, AlgebraicReal)), None)
+    if gen is not None:
+        w_iv = gen.refine(eps)
+    mags = [abs(_wp_eval_interval(c, w_iv).mid) for c in coords]
+    piv = max(range(3), key=lambda i: mags[i])
+    j, k = [i for i in range(3) if i != piv]
+    Pp = [(0,), (0,), (0,)]
+    Pp[j] = coords[piv]
+    Pp[piv] = tuple(-c for c in coords[j])
+    Qq = [(0,), (0,), (0,)]
+    Qq[k] = coords[piv]
+    Qq[piv] = tuple(-c for c in coords[k])
+    return Pp, Qq, modulus, w_iv
+
+
 def _wp_eval_interval(wp, iv: RationalInterval) -> RationalInterval:
     acc = RationalInterval.point(0)
     for c in reversed(wp):
@@ -742,23 +759,7 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
     if len(p.variables) != 3:
         raise ValueError("need a trivariate curve polynomial")
     p = p.normalized()
-    coords, modulus, w_iv = _coords_as_wpolys(y.coords)
-    gen = next((c for c in y.coords if isinstance(c, AlgebraicReal)), None)
-    if gen is not None:
-        w_iv = gen.refine(eps)
-
-    # pivot on the coordinate of largest magnitude; parametrize the polar line
-    # by P + t Q with P = y_piv e_j - y_j e_piv, Q = y_piv e_k - y_k e_piv
-    mags = [abs(_wp_eval_interval(c, w_iv).mid) for c in coords]
-    piv = max(range(3), key=lambda i: mags[i])
-    j, k = [i for i in range(3) if i != piv]
-    Pp = [(0,), (0,), (0,)]
-    Pp[j] = coords[piv]
-    Pp[piv] = tuple(-c for c in coords[j])
-    Qq = [(0,), (0,), (0,)]
-    Qq[k] = coords[piv]
-    Qq[piv] = tuple(-c for c in coords[k])
-
+    Pp, Qq, modulus, w_iv = _polar_line_param(y.coords, eps)
     lin = [[Pp[i], Qq[i]] for i in range(3)]
     g = [(0,)]
     for exp, c in p.terms.items():
@@ -858,7 +859,7 @@ class VerifyConfig:
     """Knobs for the end-to-end verification run."""
 
     resolution: int = 720
-    tol_eigen: float = 1e-12
+    tol_eigen: float = 1e-12  # added to the hull_hausdorff tolerance only
     tol_geom: float = 1e-9
     max_terms: int = 10_000
     max_bits: int = 1_000_000
@@ -929,19 +930,7 @@ def _certified_polar_crossing(body, point_coords, tol):
         and isinstance(body, OracleBody)
         and not any(isinstance(c, float) for c in point_coords)
     ):
-        coords, modulus, w_iv = _coords_as_wpolys(point_coords)
-        gen = next((c for c in point_coords if isinstance(c, AlgebraicReal)), None)
-        if gen is not None:
-            w_iv = gen.refine(Fraction(1, 10**25))
-        mags = [abs(_wp_eval_interval(c, w_iv).mid) for c in coords]
-        piv = max(range(3), key=lambda i: mags[i])
-        j, k = [i for i in range(3) if i != piv]
-        Pp = [(0,), (0,), (0,)]
-        Pp[j] = coords[piv]
-        Pp[piv] = tuple(-c for c in coords[j])
-        Qq = [(0,), (0,), (0,)]
-        Qq[k] = coords[piv]
-        Qq[piv] = tuple(-c for c in coords[k])
+        Pp, Qq, _, w_iv = _polar_line_param(point_coords, Fraction(1, 10**25))
         # rational parameter near the float optimum
         sx, sy = meet.point
         pf = [_wp_eval_interval(c, w_iv) for c in Pp]
@@ -1121,7 +1110,7 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
     # two-sided hull comparison (pencil bodies only)
     if isinstance(body, PencilBody):
         m = cfg.resolution
-        cloud = sample_kippenhahn_curve(body.pencil, m, tol=cfg.tol_eigen)
+        cloud = sample_kippenhahn_curve(body.pencil, m)
         boundary = [y for _, y, _ in sample_numrange_boundary(body.pencil, m)]
         hull = convex_hull(cloud.points)
         dist = hausdorff(hull, boundary)

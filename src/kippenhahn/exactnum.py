@@ -343,10 +343,6 @@ class RationalInterval:
             return NotImplemented
         return self * other.reciprocal()
 
-    def bisect(self):
-        m = self.mid
-        return RationalInterval(self.lo, m), RationalInterval(m, self.hi)
-
     def intersect(self, other: "RationalInterval"):
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -356,13 +352,6 @@ class RationalInterval:
 
     def hull(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def widen(self, pad) -> "RationalInterval":
-        pad = Fraction(pad)
-        return RationalInterval(self.lo - pad, self.hi + pad)
-
-    def to_floats(self):
-        return float(self.lo), float(self.hi)
 
     def __eq__(self, other):
         return (

@@ -2,8 +2,8 @@
 function via the smallest eigenvalue, numerical-range sampling, and
 spectrahedron membership.
 
-Exact paths run over Gaussian rationals; floating paths use a cyclic Jacobi
-eigensolver on the real-symmetric embedding of the Hermitian matrix.
+Exact paths run over Gaussian rationals; floating paths call LAPACK's
+Hermitian eigensolver through numpy (``eigh``/``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ __all__ = [
     "format_pencil_text",
 ]
 
-EIGEN_TOL = 1e-12
 GEOM_TOL = 1e-9
-MAX_SWEEPS = 100
 
 
 class EigenError(RuntimeError):
-    """Jacobi iteration failed to converge or the input is not Hermitian."""
+    """The input is not a finite square Hermitian matrix, or LAPACK failed."""
 
 
 class HermitianMatrix:
@@ -344,162 +342,78 @@ class EigenResult:
     residual: float
 
 
-def _jacobi_real_symmetric(S: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic Jacobi rotations on a real symmetric matrix.
+def eigen_hermitian(M) -> EigenResult:
+    """Full spectrum of a finite complex Hermitian matrix.
 
-    Returns (eigenvalues, V) with columns of V the eigenvectors; rotations run
-    until the off-diagonal Frobenius mass drops below tol * scale.
-    """
-    A = S.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = max(np.linalg.norm(A), 1.0)
-
-    def offdiag_norm():
-        # summed directly over off-diagonal entries; the difference of squared
-        # norms cancels catastrophically once A is nearly diagonal
-        total = 0.0
-        for p in range(n):
-            for q in range(n):
-                if p != q:
-                    total += A[p, q] * A[p, q]
-        return math.sqrt(total)
-
-    for _ in range(max_sweeps):
-        if offdiag_norm() <= tol * scale:
-            return np.diag(A).copy(), V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
-                c = math.cos(theta)
-                s = math.sin(theta)
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    if offdiag_norm() > tol * scale:
-        raise EigenError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    return np.diag(A).copy(), V
-
-
-def eigen_hermitian(
-    M, tol: float = EIGEN_TOL, max_sweeps: int = MAX_SWEEPS
-) -> EigenResult:
-    """Full spectrum of a complex Hermitian matrix.
-
-    Embeds M = X + iY into the real symmetric [[X, -Y], [Y, X]], runs cyclic
-    Jacobi, and collapses the duplicated eigenpairs; eigenvectors come back
+    Symmetrizes M and calls numpy's ``eigh``; eigenvectors come back
     orthonormal over the complex inner product.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n):
         raise EigenError("matrix must be square")
-    herm_defect = np.abs(M - M.conj().T).max() if n else 0.0
-    scale = max(np.abs(M).max() if n else 0.0, 1.0)
+    if not np.isfinite(M).all():
+        raise EigenError("matrix has non-finite entries")
+    herm_defect = np.abs(M - M.conj().T).max(initial=0.0)
+    scale = np.abs(M).max(initial=1.0)
     if herm_defect > 1e-10 * scale:
         raise EigenError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     M = (M + M.conj().T) / 2.0
-    X = M.real
-    Y = M.imag
-    S = np.block([[X, -Y], [Y, X]])
-    vals, V = _jacobi_real_symmetric(S, tol, max_sweeps)
-    idx = np.argsort(vals, kind="stable")
-    vals = vals[idx]
-    V = V[:, idx]
-    # each eigenvalue of M appears twice; take every second embedding vector
-    # and re-orthonormalize within clusters over C
-    eigvals = []
-    eigvecs = []
-    for i in range(0, 2 * n, 2):
-        lam = 0.5 * (vals[i] + vals[i + 1])
-        eigvals.append(lam)
-    pool = [V[:n, i] + 1j * V[n:, i] for i in range(2 * n)]
-    chosen: list[np.ndarray] = []
-    for i, lam in enumerate(eigvals):
-        best = None
-        for cand in pool[2 * i : 2 * i + 2]:
-            w = cand.copy()
-            for other_lam, other_vec in zip(eigvals[:i], chosen):
-                if abs(other_lam - lam) < 1e-8 * scale + 1e-12:
-                    w = w - np.vdot(other_vec, w) * other_vec
-            nw = np.linalg.norm(w)
-            if best is None or nw > best[0]:
-                best = (nw, w)
-        nw, w = best
-        if nw < 1e-6:
-            # degenerate cluster ate both candidates; draw from the full pool
-            for cand in pool:
-                w = cand.copy()
-                for other_lam, other_vec in zip(eigvals[:i], chosen):
-                    if abs(other_lam - lam) < 1e-8 * scale + 1e-12:
-                        w = w - np.vdot(other_vec, w) * other_vec
-                nw = np.linalg.norm(w)
-                if nw > 1e-6:
-                    break
-            else:
-                raise EigenError("could not extract an orthonormal eigenbasis")
-        chosen.append(w / nw)
-    residual = 0.0
-    for lam, v in zip(eigvals, chosen):
-        residual = max(residual, float(np.linalg.norm(M @ v - lam * v)))
+    try:
+        vals, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigenError(f"eigh failed: {exc}") from None
+    residual = float(np.linalg.norm(M @ V - V * vals, axis=0).max(initial=0.0))
     return EigenResult(
-        eigenvalues=tuple(float(v) for v in eigvals),
-        eigenvectors=tuple(tuple(complex(c) for c in v) for v in chosen),
+        eigenvalues=tuple(float(v) for v in vals),
+        eigenvectors=tuple(tuple(complex(c) for c in v) for v in V.T),
         residual=residual,
     )
 
 
-def support_function(P: HermitianPencil, x, tol: float = EIGEN_TOL) -> float:
+def support_function(P: HermitianPencil, x) -> float:
     """Signed distance of the origin to the supporting line with inner normal x:
     the smallest eigenvalue of x1 K + x2 L."""
     x1, x2 = float(x[0]), float(x[1])
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("non-finite direction")
     if x1 == 0.0 and x2 == 0.0:
         raise ValueError("zero direction")
-    vals, _ = _jacobi_real_symmetric(
-        _embed(P.combine_float(x1, x2)), tol, MAX_SWEEPS
+    return float(np.linalg.eigvalsh(P.combine_float(x1, x2))[0])
+
+
+def _direction_sweep(P: HermitianPencil, m: int):
+    """Spectra of cos(theta_j) K + sin(theta_j) L at theta_j = 2 pi j / m.
+
+    One stacked ``eigh`` call; returns the angles, the (m, n) ascending
+    eigenvalues and the (m, n, 2) quadratic-form images (v*Kv, v*Lv) of the
+    matching eigenvectors.
+    """
+    if m < 3:
+        raise ValueError("need at least 3 directions")
+    Kf, Lf = P._floats()
+    thetas = [2.0 * math.pi * j / m for j in range(m)]
+    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
+    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
+    vals, V = np.linalg.eigh(cos * Kf + sin * Lf)
+    images = np.stack(
+        [np.einsum("mjk,mjk->mk", V.conj(), F @ V).real for F in (Kf, Lf)], axis=-1
     )
-    return float(np.sort(vals)[0])
+    return thetas, vals, images
 
 
-def _embed(M: np.ndarray) -> np.ndarray:
-    X = M.real
-    Y = M.imag
-    return np.block([[X, -Y], [Y, X]])
-
-
-def sample_numrange_boundary(P: HermitianPencil, m: int, tol: float = EIGEN_TOL):
+def sample_numrange_boundary(P: HermitianPencil, m: int):
     """Supporting-line contact points of the numerical range.
 
     For each direction theta_j = 2 pi j / m returns (theta_j, (y1, y2), h)
     where h is the support value and y the quadratic-form image of a smallest
     eigenvector.
     """
-    if m < 3:
-        raise ValueError("need at least 3 directions")
-    Kf, Lf = P._floats()
-    out = []
-    for j in range(m):
-        theta = 2.0 * math.pi * j / m
-        x1, x2 = math.cos(theta), math.sin(theta)
-        res = eigen_hermitian(x1 * Kf + x2 * Lf, tol=tol)
-        eta = np.array(res.eigenvectors[0])
-        y1 = float(np.real(np.vdot(eta, Kf @ eta)))
-        y2 = float(np.real(np.vdot(eta, Lf @ eta)))
-        out.append((theta, (y1, y2), res.eigenvalues[0]))
-    return out
+    thetas, vals, images = _direction_sweep(P, m)
+    return [
+        (theta, (float(y[0, 0]), float(y[0, 1])), float(h[0]))
+        for theta, h, y in zip(thetas, vals, images)
+    ]
 
 
 def spectrahedron_contains(

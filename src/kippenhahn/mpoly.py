@@ -413,21 +413,6 @@ class MultiPoly:
             d: MultiPoly(self.variables, t, self.order) for d, t in buckets.items()
         }
 
-    @staticmethod
-    def from_univariate(var: int, coeffs) -> "MultiPoly":
-        """Rebuild from a dict degree -> MultiPoly produced by univariate_in."""
-        acc = None
-        for d, poly in coeffs.items():
-            shifted = {}
-            for exp, c in poly.terms.items():
-                nexp = exp[:var] + (exp[var] + d,) + exp[var + 1 :]
-                shifted[nexp] = c
-            p = MultiPoly(poly.variables, shifted, poly.order)
-            acc = p if acc is None else acc + p
-        if acc is None:
-            raise ValueError("empty coefficient map")
-        return acc
-
     def restrict_line(self, base, direction):
         """Ascending coefficients in t of f(1, base1 + t*d1, base2 + t*d2).
 

@@ -93,7 +93,10 @@ def marching_squares(xs, ys, Z) -> list:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.3f}"
+    # tiny negatives round to "-0.000"; print them as "0.000" so the bytes do
+    # not depend on the sign of rounding noise
+    s = f"{v:.3f}"
+    return "0.000" if s == "-0.000" else s
 
 
 class SvgCanvas:

@@ -198,6 +198,15 @@ class TestPlot:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
 
+    def test_no_negative_zero(self):
+        # rounding noise just outside the frame must not print as "-0.000"
+        canvas = svgfig.SvgCanvas((-1, 1, -1, 1))
+        canvas.dot((-1 - 1e-12, 1 + 1e-12))
+        assert 'cx="0.000" cy="0.000"' in canvas.parts[-1]
+        assert svgfig._fmt(-0.0) == "0.000"
+        assert svgfig._fmt(-0.0004) == "0.000"
+        assert svgfig._fmt(-0.0006) == "-0.001"
+
     def test_marching_squares_circle(self):
         import numpy as np
 

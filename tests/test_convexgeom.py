@@ -236,6 +236,30 @@ class TestKippenhahnCloud:
         worst = max(abs(q.evaluate((1.0, a, b))) for a, b in cloud.points)
         assert worst <= 1e-6 * norm1
 
+    def test_matches_per_direction_solves(self):
+        # the stacked sweep against one eigen_hermitian call per direction
+        from kippenhahn.matrixpencil import eigen_hermitian, sample_numrange_boundary
+
+        P = eq3_body().pencil
+        Kf, Lf = P._floats()
+        m = 48
+        cloud = sample_kippenhahn_curve(P, m)
+        boundary = sample_numrange_boundary(P, m)
+        for j in range(m):
+            theta = 2.0 * math.pi * j / m
+            r = eigen_hermitian(math.cos(theta) * Kf + math.sin(theta) * Lf)
+            ys = [
+                (np.vdot(v, Kf @ v).real, np.vdot(v, Lf @ v).real)
+                for v in map(np.array, r.eigenvectors)
+            ]
+            t, y, h = boundary[j]
+            assert t == theta and abs(h - r.eigenvalues[0]) <= 1e-12
+            assert math.dist(y, ys[0]) <= 1e-10
+            for k in range(P.n):
+                i = P.n * j + k
+                assert cloud.thetas[i] == theta and cloud.branches[i] == k
+                assert math.dist(cloud.points[i], ys[k]) <= 1e-10
+
     def test_csv_export(self):
         cloud = sample_kippenhahn_curve(parabola_body().pencil, 8)
         csv = cloud.to_csv()

@@ -154,10 +154,23 @@ class TestEigen:
         assert np.allclose(r.eigenvalues, 1.0)
         V = np.array(r.eigenvectors).T
         assert np.abs(V.conj().T @ V - np.eye(4)).max() <= 1e-10
+        # a repeated eigenvalue next to a distinct one, in a random basis
+        rng = np.random.default_rng(6)
+        B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        U, _ = np.linalg.qr(B)
+        M = U @ np.diag([1.0, 1.0, 2.0]) @ U.conj().T
+        r = eigen_hermitian(M)
+        assert np.allclose(r.eigenvalues, [1.0, 1.0, 2.0], atol=1e-12)
+        assert r.residual <= 1e-11
+        V = np.array(r.eigenvectors).T
+        assert np.abs(V.conj().T @ V - np.eye(3)).max() <= 1e-12
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(EigenError):
             eigen_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(EigenError):
+                eigen_hermitian(np.array([[bad, 1.0], [1.0, 0.0]]))
 
 
 class TestSupportFunction:
@@ -172,6 +185,9 @@ class TestSupportFunction:
     def test_zero_direction(self):
         with pytest.raises(ValueError):
             support_function(parabola_pencil(), (0, 0))
+        for x in ((math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                support_function(parabola_pencil(), x)
 
     def test_positive_homogeneity(self):
         rng = random.Random(58)
