@@ -47,7 +47,6 @@ class JobConfig:
     these defaults."""
 
     resolution: int = 720
-    tol_eigen: float = 1e-12
     tol_geom: float = 1e-9
     max_terms: int = 10_000
     max_bits: int = 1_000_000
@@ -56,7 +55,7 @@ class JobConfig:
     def validate(self):
         if self.resolution < 3:
             raise ParseError("resolution must be at least 3")
-        if self.tol_eigen <= 0 or self.tol_geom <= 0:
+        if self.tol_geom <= 0:
             raise ParseError("tolerances must be positive")
 
     def show(self) -> str:
@@ -89,7 +88,6 @@ def _build_config(args) -> JobConfig:
     file_vals = _load_config_file()
     coerce = {
         "resolution": int,
-        "tol_eigen": float,
         "tol_geom": float,
         "max_terms": int,
         "max_bits": int,
@@ -212,7 +210,6 @@ def cmd_verify(args) -> int:
     body = _load_body(args)
     vcfg = VerifyConfig(
         resolution=cfg.resolution,
-        tol_eigen=cfg.tol_eigen,
         tol_geom=cfg.tol_geom,
         max_terms=cfg.max_terms,
         max_bits=cfg.max_bits,
@@ -326,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         if preset:
             sp.add_argument("--preset", help='built-in example (e.g. "fermat6")')
         sp.add_argument("--resolution", type=int, default=None)
-        sp.add_argument("--tol-eigen", dest="tol_eigen", type=float, default=None)
         sp.add_argument("--tol-geom", dest="tol_geom", type=float, default=None)
         sp.add_argument("--max-terms", dest="max_terms", type=int, default=None)
         sp.add_argument("--max-bits", dest="max_bits", type=int, default=None)

@@ -859,7 +859,6 @@ class VerifyConfig:
     """Knobs for the end-to-end verification run."""
 
     resolution: int = 720
-    tol_eigen: float = 1e-12  # added to the hull_hausdorff tolerance only
     tol_geom: float = 1e-9
     max_terms: int = 10_000
     max_bits: int = 1_000_000
@@ -869,7 +868,7 @@ class VerifyConfig:
     hull_constant: float = 24.0  # calibrated on the n = 2 ellipse case
 
     def hull_tolerance(self) -> float:
-        return self.hull_constant / float(self.resolution) ** 2 + self.tol_eigen
+        return self.hull_constant / float(self.resolution) ** 2
 
 
 @dataclass

@@ -502,8 +502,8 @@ def _coerce_complex_interval(v):
 
 # --- univariate sign/Sturm helpers on plain coefficient tuples ------------
 #
-# Coefficients are ascending; these helpers stay private to this module so
-# that the heavier machinery in realroots can be cross-checked against them.
+# Coefficients are ascending; these helpers stay private to this module.
+# tests/test_exactnum.py checks sturm_count against realroots.count_real_roots.
 
 
 def _poly_eval(coeffs, x: Fraction) -> Fraction:
@@ -524,11 +524,12 @@ def _poly_trim(coeffs):
     return tuple(coeffs)
 
 
-def _poly_rem(f, g):
-    """Remainder of f by g over the rationals."""
+def _poly_divmod(f, g):
+    """Quotient and remainder of f by g over the rationals."""
     f = list(f)
     dg = len(g) - 1
     lg = g[-1]
+    q = [Fraction(0)] * max(len(f) - dg, 0)
     while len(f) - 1 >= dg and any(f):
         df = len(f) - 1
         if not f[-1]:
@@ -536,13 +537,16 @@ def _poly_rem(f, g):
             continue
         factor = f[-1] / lg
         shift = df - dg
+        q[shift] = factor
         for i, c in enumerate(g):
             f[shift + i] -= factor * c
         f.pop()
-    return _poly_trim(f)
+    return _poly_trim(q), _poly_trim(f)
 
 
 def _sturm_chain(coeffs):
+    """Sturm chain of f, each member divided by gcd(f, f'), the last one, so
+    that a multiple root at an interval end is counted like a simple one."""
     f = _poly_trim(tuple(Fraction(c) for c in coeffs))
     if not f:
         return []
@@ -551,10 +555,13 @@ def _sturm_chain(coeffs):
     if d:
         chain.append(d)
         while True:
-            r = _poly_rem(chain[-2], chain[-1])
+            r = _poly_divmod(chain[-2], chain[-1])[1]
             if not r:
                 break
             chain.append(tuple(-c for c in r))
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [_poly_divmod(h, g)[0] for h in chain]
     return chain
 
 
@@ -705,5 +712,5 @@ def _is_squarefree_int(coeffs) -> bool:
     f = tuple(Fraction(c) for c in coeffs)
     g = _poly_trim(_poly_deriv(f))
     while g:
-        f, g = g, _poly_rem(f, g)
+        f, g = g, _poly_divmod(f, g)[1]
     return len(f) == 1

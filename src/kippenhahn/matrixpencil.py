@@ -129,23 +129,6 @@ class HermitianMatrix:
         return f"HermitianMatrix(n={self.n})"
 
 
-def _gaussian_det(rows) -> GaussianRational:
-    """Cofactor determinant of a small matrix of Gaussian rationals."""
-    n = len(rows)
-    if n == 0:
-        return GaussianRational(1)
-    if n == 1:
-        return rows[0][0]
-    det = GaussianRational(0)
-    for k in range(n):
-        if rows[0][k].is_zero:
-            continue
-        sub = [r[:k] + r[k + 1 :] for r in rows[1:]]
-        term = rows[0][k] * _gaussian_det(sub)
-        det = det + term if k % 2 == 0 else det - term
-    return det
-
-
 class HermitianPencil:
     """Pair (K, L) of same-size Hermitian matrices.
 
@@ -220,113 +203,102 @@ class HermitianPencil:
 
 # --- exact determinant curve -------------------------------------------------
 #
-# Entries of x0*1 + x1*K + x2*L are linear trivariate polynomials with
-# Gaussian-rational coefficients; the determinant is expanded by cofactors in
-# a small dict-based polynomial ring, then checked to be real.
+# Determinants are sampled, not expanded: det(A + sB) has degree at most n in
+# s, so its exact values at s = 0..n, each one Gaussian elimination, fix it by
+# interpolation.  A Hermitian matrix at a real s has a real determinant, so a
+# non-real sample signals a broken Hermitian invariant.
 
 
-def _gp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            prev = out.get(exp)
-            val = ca * cb if prev is None else prev + ca * cb
-            if val.is_zero:
-                out.pop(exp, None)
-            else:
-                out[exp] = val
-    return out
-
-
-def _gp_addsub(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        val = out.get(e, GaussianRational(0)) + (c if sign > 0 else -c)
-        if val.is_zero:
-            out.pop(e, None)
-        else:
-            out[e] = val
-    return out
-
-
-def _gp_det(rows: list[list[dict]]) -> dict:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det: dict = {}
-    for k in range(n):
-        if not rows[0][k]:
-            continue
-        sub = [r[:k] + r[k + 1 :] for r in rows[1:]]
-        term = _gp_mul(rows[0][k], _gp_det(sub))
-        det = _gp_addsub(det, term, 1 if k % 2 == 0 else -1)
+def _gaussian_det(rows) -> GaussianRational:
+    """Exact determinant by Gaussian elimination with row swaps."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = GaussianRational(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if not a[r][c].is_zero), None)
+        if pivot is None:
+            return GaussianRational(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        p = a[c][c]
+        det = det * p
+        for r in range(c + 1, n):
+            if a[r][c].is_zero:
+                continue
+            f = a[r][c] / p
+            a[r] = [x if y.is_zero else x - f * y for x, y in zip(a[r], a[c])]
     return det
+
+
+def _interpolate(xs, ys) -> list[Fraction]:
+    """Ascending coefficients of the polynomial of degree < len(xs) through
+    the points (xs[k], ys[k]), by Newton divided differences."""
+    xs = list(xs)
+    c = [Fraction(y) for y in ys]
+    m = len(xs)
+    for j in range(1, m):
+        for k in range(m - 1, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
+    # expand the Newton form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)) from inside
+    out = [Fraction(0)] * m
+    for k in range(m - 1, -1, -1):
+        for i in range(m - 1, 0, -1):
+            out[i] = out[i - 1] - xs[k] * out[i]
+        out[0] = c[k] - xs[k] * out[0]
+    return out
+
+
+def _line_points(A, B):
+    """The n + 1 matrices A + sB at s = 0..n, by repeated addition of B."""
+    M = A
+    yield M
+    for _ in range(len(A)):
+        M = [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(M, B)]
+        yield M
+
+
+def _det_coeffs(A, B) -> list[Fraction]:
+    """Ascending coefficients, n + 1 of them, of det(A + sB) for n x n rows."""
+    ys = []
+    for M in _line_points(A, B):
+        d = _gaussian_det(M)
+        if d.im:
+            raise ValueError(f"sampled determinant is not real: {d}")
+        ys.append(d.re)
+    return _interpolate(range(len(ys)), ys)
 
 
 def pencil_det(P: HermitianPencil, variables=("x0", "x1", "x2")) -> MultiPoly:
     """Exact determinant polynomial det(x0*1 + x1*K + x2*L).
 
-    Homogeneous of degree n with real rational coefficients; a nonzero
-    imaginary part in any coefficient signals a broken Hermitian invariant
-    and raises ValueError.
+    Homogeneous of degree n with real rational coefficients.  Computed from
+    p(x0, 1, t) = det((K + tL) + x0*1) at t = 0..n: each x0-coefficient is
+    interpolated in t, and x0^a t^b becomes x0^a x1^(n-a-b) x2^b.  A non-real
+    sampled determinant raises ValueError.
     """
     n = P.n
-    rows = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            entry: dict = {}
-            if j == k:
-                entry[(1, 0, 0)] = GaussianRational(1)
-            kv = P.K[j, k]
-            if not kv.is_zero:
-                entry[(0, 1, 0)] = kv
-            lv = P.L[j, k]
-            if not lv.is_zero:
-                entry[(0, 0, 1)] = lv
-            row.append(entry)
-        rows.append(row)
-    det = _gp_det(rows)
+    ident = HermitianMatrix.identity(n).entries
+    in_x0 = [_det_coeffs(M, ident) for M in _line_points(P.K.entries, P.L.entries)]
     terms = {}
-    for exp, c in det.items():
-        if c.im:
-            raise ValueError(f"determinant coefficient at {exp} is not real: {c}")
-        terms[exp] = c.re
-    p = MultiPoly(variables, terms, grevlex_order(3))
-    if not p.is_zero and p.homogeneous_degree() != n:
-        raise ValueError("pencil determinant is not homogeneous of degree n")
-    return p
+    for a in range(n + 1):
+        for b, c in enumerate(_interpolate(range(n + 1), [row[a] for row in in_x0])):
+            if not c:
+                continue
+            if a + b > n:
+                raise ValueError("pencil determinant is not homogeneous of degree n")
+            terms[(a, n - a - b, b)] = c
+    return MultiPoly(variables, terms, grevlex_order(3))
 
 
 def det_along_line(A: HermitianMatrix, B: HermitianMatrix):
     """Exact coefficients (ascending) of det(A + t B) as a polynomial in t."""
     if A.n != B.n:
         raise ValueError("size mismatch")
-    n = A.n
-    rows = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            entry = {}
-            av = A[j, k]
-            if not av.is_zero:
-                entry[(0, 0, 0)] = av
-            bv = B[j, k]
-            if not bv.is_zero:
-                entry[(0, 1, 0)] = bv
-            row.append(entry)
-        rows.append(row)
-    det = _gp_det(rows)
-    if not det:
-        return (Fraction(0),)
-    top = max(e[1] for e in det)
-    out = [Fraction(0)] * (top + 1)
-    for exp, c in det.items():
-        if c.im:
-            raise ValueError("determinant along line is not real")
-        out[exp[1]] = c.re
-    return tuple(out)
+    coeffs = _det_coeffs(A.entries, B.entries)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 # --- floating eigensolver ----------------------------------------------------

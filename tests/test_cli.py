@@ -147,7 +147,7 @@ class TestShowConfig:
         assert main(["--show-config"]) == 0
         out = capsys.readouterr().out
         assert "resolution = 720" in out
-        assert "tol_eigen = 1e-12" in out
+        assert "tol_geom = 1e-09" in out
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "kippenhahn.cfg"

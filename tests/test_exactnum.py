@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kippenhahn.exactnum import (
     AlgebraicReal,
@@ -15,6 +17,23 @@ from kippenhahn.exactnum import (
     simplest_in_interval,
     sturm_count,
 )
+from kippenhahn.realroots import UniPoly, count_real_roots
+
+
+def _mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+# integer polynomials built from rational roots k/d with multiplicities, times
+# a random integer cofactor, so that interval endpoints often hit a root,
+# sometimes a multiple one
+_root = st.tuples(st.integers(-6, 6), st.sampled_from([1, 2]), st.integers(1, 3))
+_cofactor = st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(any)
+_endpoint = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
 
 class TestRationals:
@@ -155,6 +174,16 @@ class TestSturmCount:
         assert sturm_count(poly, 0, 2) == 1
         assert sturm_count(poly, -2, 2) == 2
         assert sturm_count(poly, 2, 3) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_root, max_size=3), _cofactor, _endpoint, _endpoint)
+    def test_matches_realroots(self, roots, cofactor, a, b):
+        poly = cofactor
+        for k, d, mult in roots:
+            for _ in range(mult):
+                poly = _mul(poly, [-k, d])
+        lo, hi = min(a, b), max(a, b)
+        assert sturm_count(poly, lo, hi) == count_real_roots(UniPoly(poly), lo, hi)
 
 
 class TestSimplestInInterval:

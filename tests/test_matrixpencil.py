@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
+from kippenhahn import matrixpencil
 from kippenhahn.exactnum import GaussianRational, ParseError
 from kippenhahn.matrixpencil import (
     EigenError,
@@ -61,6 +63,12 @@ def random_pencil(rng, n) -> HermitianPencil:
     return HermitianPencil(herm(), herm())
 
 
+def sympy_matrix(M: HermitianMatrix) -> sympy.Matrix:
+    return sympy.Matrix(
+        M.n, M.n, lambda j, k: sympy.Rational(M[j, k].re) + sympy.I * sympy.Rational(M[j, k].im)
+    )
+
+
 class TestHermitianMatrix:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
@@ -102,6 +110,41 @@ class TestPencilDet:
         P = random_pencil(rng, 3)
         p = pencil_det(P)
         assert all(isinstance(c, Fraction) for c in p.terms.values())
+
+    def test_matches_sympy(self):
+        x = sympy.symbols("x0 x1 x2")
+        rng = random.Random(58)
+        for n in range(1, 6):
+            P = random_pencil(rng, n)
+            M = x[0] * sympy.eye(n) + x[1] * sympy_matrix(P.K) + x[2] * sympy_matrix(P.L)
+            # sympy's Gaussian elimination over the polynomial domain: the
+            # default Bareiss on expressions takes seconds at n = 5
+            ref = sympy.Poly(sympy.expand(M.det(method="domain-ge")), *x)
+            got = {e: sympy.Rational(c.numerator, c.denominator) for e, c in pencil_det(P).terms.items()}
+            assert got == dict(ref.terms())
+
+    def test_large_pencils_match_sympy_values(self):
+        rng = random.Random(59)
+        points = [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(2), Fraction(1, 3)), (Fraction(-1), Fraction(5))]
+        for n in (6, 7):
+            P = random_pencil(rng, n)
+            p = pencil_det(P)
+            K, L = sympy_matrix(P.K), sympy_matrix(P.L)
+            for x1, x2 in points:
+                ref = (sympy.eye(n) + sympy.Rational(x1) * K + sympy.Rational(x2) * L).det()
+                val = p.evaluate((Fraction(1), x1, x2))
+                assert sympy.expand(ref) == sympy.Rational(val.numerator, val.denominator)
+
+    def test_safety_checks(self, monkeypatch):
+        P = eq3_pencil()
+        with monkeypatch.context() as m:
+            m.setattr(matrixpencil, "_gaussian_det", lambda rows: GaussianRational(1, 1))
+            with pytest.raises(ValueError, match="not real"):
+                pencil_det(P)
+        with monkeypatch.context() as m:
+            m.setattr(matrixpencil, "_interpolate", lambda xs, ys: [Fraction(1)] * len(ys))
+            with pytest.raises(ValueError, match="not homogeneous"):
+                pencil_det(P)
 
 
 class TestFromMatrix:
@@ -311,3 +354,30 @@ class TestPencilFiles:
         A = HermitianMatrix.identity(2)
         assert det_along_line(A, P.L) == (Fraction(1), Fraction(1))
         assert det_along_line(A, P.K) == (Fraction(1), Fraction(0), Fraction(-1))
+        i = GaussianRational(0, 1)
+        # (A, B, coefficients or, where they are long, the degree)
+        cases = [
+            # zero pivot at t = 0, which forces a row swap
+            (HermitianMatrix([[0, 1], [1, 0]]), HermitianMatrix.identity(2), (-1, 0, 1)),
+            # B = 0: a constant
+            (eq3_pencil().K.shift(2), HermitianMatrix.zeros(3), 0),
+            # rank-1 B: the degree drops to 1
+            (eq3_pencil().L, HermitianMatrix([[1, i, 0], [-i, 1, 0], [0, 0, 0]]), 1),
+            # singular A: zero constant term
+            (HermitianMatrix([[1, 1], [1, 1]]), HermitianMatrix.identity(2), (0, 2, 1)),
+            # det identically 0
+            (HermitianMatrix([[1, 0], [0, 0]]), HermitianMatrix([[2, 0], [0, 0]]), (0,)),
+            (HermitianMatrix([[3]]), HermitianMatrix([[-2]]), (3, -2)),
+        ]
+        t = sympy.Symbol("t")
+        for A, B, expected in cases:
+            ref = sympy.Poly(sympy.expand((sympy_matrix(A) + t * sympy_matrix(B)).det()), t)
+            ref = tuple(Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs()))
+            got = det_along_line(A, B)
+            assert got == ref
+            assert all(isinstance(c, Fraction) for c in got)
+            assert got == (Fraction(0),) or got[-1] != 0
+            if isinstance(expected, int):
+                assert len(got) == expected + 1
+            else:
+                assert got == tuple(Fraction(c) for c in expected)
