@@ -11,6 +11,7 @@ from .exactnum import (
     GaussianRational,
     ParseError,
     RationalInterval,
+    UniPoly,
     parse_gaussian,
     parse_rational,
 )
@@ -49,7 +50,6 @@ from .realroots import (
     IsolatedRoot,
     PrecisionError,
     SingularPoint,
-    UniPoly,
     count_real_roots,
     real_singular_points,
     resultant,

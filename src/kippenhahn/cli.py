@@ -65,7 +65,19 @@ class JobConfig:
         return "\n".join(lines)
 
 
+# config-file keys (dashes read as underscores) and their value types
+CONFIG_FIELDS = {
+    "resolution": int,
+    "tol_geom": float,
+    "max_terms": int,
+    "max_bits": int,
+    "out_dir": str,
+}
+
+
 def _load_config_file() -> dict:
+    """Values of the config file, converted; an unknown key or a value that
+    does not convert is a ParseError naming the key and its line."""
     path = os.environ.get(CONFIG_ENV, CONFIG_DEFAULT_NAME)
     values = {}
     p = Path(path)
@@ -78,7 +90,16 @@ def _load_config_file() -> dict:
         if "=" not in line:
             raise ParseError(f"config line has no '=': {line!r}", line=lineno)
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key, val = key.strip(), val.strip()
+        name = key.replace("-", "_")
+        if name not in CONFIG_FIELDS:
+            raise ParseError(f"unknown config key {key!r} in {path}", line=lineno)
+        try:
+            values[name] = CONFIG_FIELDS[name](val)
+        except ValueError:
+            raise ParseError(
+                f"invalid value {val!r} for config key {key!r} in {path}", line=lineno
+            ) from None
     return values
 
 
@@ -86,16 +107,9 @@ def _build_config(args) -> JobConfig:
     """Apply precedence flags > config file > defaults."""
     cfg = JobConfig()
     file_vals = _load_config_file()
-    coerce = {
-        "resolution": int,
-        "tol_geom": float,
-        "max_terms": int,
-        "max_bits": int,
-        "out_dir": str,
-    }
-    for name, conv in coerce.items():
+    for name, conv in CONFIG_FIELDS.items():
         if name in file_vals:
-            setattr(cfg, name, conv(file_vals[name]))
+            setattr(cfg, name, file_vals[name])
         flag = getattr(args, name, None)
         if flag is not None:
             setattr(cfg, name, conv(flag))

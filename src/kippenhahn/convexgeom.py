@@ -20,6 +20,7 @@ from .exactnum import (
     AlgebraicReal,
     ComplexInterval,
     RationalInterval,
+    UniPoly,
     sturm_count,
 )
 from .mpoly import MultiPoly, parse_poly
@@ -31,7 +32,7 @@ from .matrixpencil import (
     support_function,
     sample_numrange_boundary,
 )
-from .realroots import UniPoly, _bareiss_det, _zp_trim
+from .realroots import _sylvester_det, _zp_add, _zp_mul
 
 __all__ = [
     "ProjPoint",
@@ -90,7 +91,7 @@ class ProjPoint:
         return cls(1, y1, y2)
 
     def float_coords(self):
-        return tuple(_coord_float(c) for c in self.coords)
+        return tuple(float(c) for c in self.coords)
 
     def normalized(self) -> "ProjPoint":
         """Scale the first nonzero coordinate to 1 (exact coordinates only)."""
@@ -153,12 +154,6 @@ def _coord_is_zero(c) -> bool:
     if isinstance(c, AlgebraicReal):
         return False  # an isolated root interval never certifies exactly zero
     return not c
-
-
-def _coord_float(c) -> float:
-    if isinstance(c, AlgebraicReal):
-        return c.to_float()
-    return float(c)
 
 
 # --- convex bodies -------------------------------------------------------------
@@ -711,37 +706,21 @@ def _nft_eval(poly_wp, w_iv: RationalInterval, t: ComplexInterval) -> ComplexInt
 
 
 def _nft_derivative(poly_wp):
-    return [tuple(c * k for c in wp) for k, wp in enumerate(poly_wp) if k >= 1]
-
-
-def _wp_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _wp_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, z in enumerate(b):
-                out[i + j] += x * z
-    return tuple(out)
+    return [[c * k for c in wp] for k, wp in enumerate(poly_wp) if k >= 1]
 
 
 def _nft_mul(A, B):
-    out = [(0,)] * (len(A) + len(B) - 1)
+    out = [[] for _ in range(len(A) + len(B) - 1)]
     for i, a in enumerate(A):
         for j, b in enumerate(B):
-            out[i + j] = _wp_add(out[i + j], _wp_mul(a, b))
+            out[i + j] = _zp_add(out[i + j], _zp_mul(a, b))
     return out
 
 
 def _nft_add(A, B):
     n = max(len(A), len(B))
     return [
-        _wp_add(A[i] if i < len(A) else (0,), B[i] if i < len(B) else (0,))
+        _zp_add(A[i] if i < len(A) else [], B[i] if i < len(B) else [])
         for i in range(n)
     ]
 
@@ -761,9 +740,9 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
     p = p.normalized()
     Pp, Qq, modulus, w_iv = _polar_line_param(y.coords, eps)
     lin = [[Pp[i], Qq[i]] for i in range(3)]
-    g = [(0,)]
+    g = [[]]
     for exp, c in p.terms.items():
-        term = [(int(c),)]
+        term = [[int(c)]]
         for i in range(3):
             for _ in range(exp[i]):
                 term = _nft_mul(term, lin[i])
@@ -775,8 +754,7 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
     gp = _nft_derivative(g)
 
     # exact double-root test: Res_t(g, g') must vanish at the generator
-    res = _resultant_wpoly(g, gp)
-    if not _wp_vanishes(res, modulus, w_iv):
+    if not _wp_vanishes(_sylvester_det(g, gp), modulus, w_iv):
         return []
 
     # localize critical points of g numerically, certify by interval Newton
@@ -827,28 +805,6 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
             continue  # contact in the chart at infinity; not representable here
         out.append(TangencyWitness(x1=xs[1] / x0, x2=xs[2] / x0, parameter=T))
     return out
-
-
-def _resultant_wpoly(g, gp):
-    """Res_t of two polynomials with integer w-polynomial coefficients."""
-    dg = len(g) - 1
-    dh = len(gp) - 1
-    if dg < 1 or dh < 0:
-        return (0,)
-    n = dg + dh
-    rows = []
-    for i in range(dh):
-        row = [[] for _ in range(n)]
-        for kk in range(dg + 1):
-            row[i + (dg - kk)] = _zp_trim(list(g[kk]))
-        rows.append(row)
-    for i in range(dg):
-        row = [[] for _ in range(n)]
-        for kk in range(dh + 1):
-            row[i + (dh - kk)] = _zp_trim(list(gp[kk]))
-        rows.append(row)
-    det = _bareiss_det(rows)
-    return tuple(det) if det else (0,)
 
 
 # --- verification pipeline -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact scalars: arbitrary-precision rationals, Gaussian rationals,
-rational intervals and real algebraic numbers.
+rational intervals and real algebraic numbers, together with the package's
+dense univariate polynomials over the rationals (``UniPoly``) and the one
+Sturm chain that every root count and algebraic-number certificate runs on.
 
 All values are immutable after construction; every operation is a pure
 function, so sharing between threads is safe.
@@ -26,6 +28,7 @@ __all__ = [
     "RationalInterval",
     "ComplexInterval",
     "AlgebraicReal",
+    "UniPoly",
     "sturm_count",
     "simplest_in_interval",
 ]
@@ -500,75 +503,222 @@ def _coerce_complex_interval(v):
     return NotImplemented
 
 
-# --- univariate sign/Sturm helpers on plain coefficient tuples ------------
-#
-# Coefficients are ascending; these helpers stay private to this module.
-# tests/test_exactnum.py checks sturm_count against realroots.count_real_roots.
+# --- dense univariate polynomials and the Sturm chain --------------------------
 
 
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+class UniPoly:
+    """Univariate polynomial, ascending Fraction coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UniPoly is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, x):
+        acc = None
+        for c in reversed(self.coeffs):
+            acc = c if acc is None else acc * x + c
+        if acc is None:
+            return Fraction(0)
+        return acc
+
+    def derivative(self) -> "UniPoly":
+        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __add__(self, other):
+        other = _coerce_unipoly(other)
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return UniPoly(
+            [
+                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                for i in range(n)
+            ]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        other = _coerce_unipoly(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _coerce_unipoly(other)
+        if self.is_zero or other.is_zero:
+            return UniPoly([])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = UniPoly([other])
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def divmod(self, other: "UniPoly"):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        r = list(self.coeffs)
+        lb = other.coeffs[-1]
+        db = other.degree
+        while len(r) - 1 >= db and any(r):
+            if not r[-1]:
+                r.pop()
+                continue
+            shift = len(r) - 1 - db
+            factor = r[-1] / lb
+            q[shift] = factor
+            for i, c in enumerate(other.coeffs):
+                r[shift + i] -= factor * c
+            r.pop()
+        return UniPoly(q), UniPoly(r)
+
+    def primitive(self) -> "UniPoly":
+        """Scale to coprime integers with positive leading coefficient."""
+        if self.is_zero:
+            return self
+        p = self.scaled_primitive()
+        if p.coeffs[-1] < 0:
+            return UniPoly([-c for c in p.coeffs])
+        return p
+
+    def scaled_primitive(self) -> "UniPoly":
+        """Scale by a positive rational to coprime integers (sign preserved)."""
+        if self.is_zero:
+            return self
+        num = 0
+        den = 1
+        for c in self.coeffs:
+            num = gcd(num, abs(c.numerator))
+            den = den * c.denominator // gcd(den, c.denominator)
+        return UniPoly(
+            [c.numerator * (den // c.denominator) // num for c in self.coeffs]
+        )
+
+    def gcd(self, other: "UniPoly") -> "UniPoly":
+        """Primitive gcd, by a remainder sequence whose every member is
+        scaled back to coprime integers (Brown-Traub primitive PRS), so the
+        coefficients stay near the size of the inputs' instead of growing
+        as in Euclid over the rationals."""
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.divmod(b)[1].scaled_primitive()
+        if a.is_zero:
+            return a
+        return a.primitive()
+
+    def squarefree_part(self) -> "UniPoly":
+        if self.is_zero:
+            raise ValueError("zero polynomial")
+        g = self.gcd(self.derivative())
+        if g.degree <= 0:
+            return self.primitive()
+        return self.divmod(g)[0].primitive()
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = UniPoly([1])
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def compose_power(self, stride: int) -> "UniPoly":
+        """Substitute t**stride for the variable: f(v) -> f(t**stride)."""
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        out = [Fraction(0)] * (stride * self.degree + 1) if self.coeffs else []
+        for i, c in enumerate(self.coeffs):
+            out[i * stride] = c
+        return UniPoly(out)
+
+    def int_coeffs(self):
+        p = self.primitive()
+        return tuple(int(c) for c in p.coeffs)
+
+    def root_bound(self) -> Fraction:
+        """Cauchy bound: every real root lies in (-M, M)."""
+        if self.degree < 0:
+            raise ValueError("zero polynomial")
+        lead = abs(self.coeffs[-1])
+        m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
+        return 1 + m / lead
+
+    def __repr__(self):
+        return f"UniPoly({[str(c) for c in self.coeffs]})"
 
 
-def _poly_deriv(coeffs):
-    return tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
+def _coerce_unipoly(v):
+    if isinstance(v, UniPoly):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return UniPoly([v])
+    if isinstance(v, (list, tuple)):
+        return UniPoly(v)
+    return NotImplemented
 
 
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_divmod(f, g):
-    """Quotient and remainder of f by g over the rationals."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    q = [Fraction(0)] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and any(f):
-        df = len(f) - 1
-        if not f[-1]:
-            f.pop()
-            continue
-        factor = f[-1] / lg
-        shift = df - dg
-        q[shift] = factor
-        for i, c in enumerate(g):
-            f[shift + i] -= factor * c
-        f.pop()
-    return _poly_trim(q), _poly_trim(f)
-
-
-def _sturm_chain(coeffs):
-    """Sturm chain of f, each member divided by gcd(f, f'), the last one, so
-    that a multiple root at an interval end is counted like a simple one."""
-    f = _poly_trim(tuple(Fraction(c) for c in coeffs))
-    if not f:
-        return []
-    chain = [f]
-    d = _poly_trim(_poly_deriv(f))
-    if d:
-        chain.append(d)
+def _sturm_chain(f: UniPoly):
+    """Sturm chain of a nonzero f, each member rescaled to coprime integers
+    by a positive rational; the sign structure is what the root count lives
+    on.  When the last member, gcd(f, f'), is not constant, every member is
+    divided by it, so that a multiple root at an interval end is counted
+    like a simple one."""
+    chain = [f.scaled_primitive()]
+    d = f.derivative()
+    if not d.is_zero:
+        chain.append(d.scaled_primitive())
         while True:
-            r = _poly_divmod(chain[-2], chain[-1])[1]
-            if not r:
+            r = chain[-2].divmod(chain[-1])[1]
+            if r.is_zero:
                 break
-            chain.append(tuple(-c for c in r))
+            chain.append((-r).scaled_primitive())
     g = chain[-1]
-    if len(g) > 1:
-        chain = [_poly_divmod(h, g)[0] for h in chain]
+    if g.degree > 0:
+        chain = [h.divmod(g)[0] for h in chain]
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
+def _variations(chain, x) -> int:
     signs = []
-    for f in chain:
-        v = _poly_eval(f, x)
+    for p in chain:
+        v = p(x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -584,10 +734,11 @@ def sturm_count(coeffs, lo, hi) -> int:
     hi = Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    chain = _sturm_chain(coeffs)
-    if not chain:
+    f = UniPoly(coeffs)
+    if f.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    chain = _sturm_chain(f)
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
@@ -630,20 +781,21 @@ class AlgebraicReal:
     __slots__ = ("poly", "interval")
 
     def __init__(self, poly, interval: RationalInterval):
-        coeffs = _poly_trim(tuple(int(c) for c in poly))
-        if len(coeffs) < 2:
+        f = UniPoly(int(c) for c in poly)
+        if f.degree < 1:
             raise ValueError("polynomial must have positive degree")
-        if not _is_squarefree_int(coeffs):
+        if f.gcd(f.derivative()).degree > 0:
             raise ValueError("polynomial is not squarefree")
+        coeffs = tuple(int(c) for c in f.coeffs)
         interval = RationalInterval(interval.lo, interval.hi)
         # collapse endpoint roots to exact points up front
         for end in (interval.lo, interval.hi):
-            if _poly_eval(coeffs, end) == 0:
+            if f(end) == 0:
                 interval = RationalInterval(end, end)
                 break
         if interval.width > 0:
             n = sturm_count(coeffs, interval.lo, interval.hi)
-            if _poly_eval(coeffs, interval.lo) == 0:
+            if f(interval.lo) == 0:
                 n += 1
             if n != 1:
                 raise ValueError(
@@ -672,11 +824,12 @@ class AlgebraicReal:
         iv = self.interval
         if iv.width == 0:
             return iv
+        f = UniPoly(self.poly)
         lo, hi = iv.lo, iv.hi
-        sign_lo = 1 if _poly_eval(self.poly, lo) > 0 else -1
+        sign_lo = 1 if f(lo) > 0 else -1
         while hi - lo > eps:
             mid = (lo + hi) / 2
-            v = _poly_eval(self.poly, mid)
+            v = f(mid)
             if v == 0:
                 return RationalInterval(mid, mid)
             if (1 if v > 0 else -1) == sign_lo:
@@ -699,18 +852,3 @@ class AlgebraicReal:
             return str(self.interval.lo)
         return f"root of {list(self.poly)} in {self.interval}"
 
-
-def _int_content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _is_squarefree_int(coeffs) -> bool:
-    # squarefree over Q iff gcd(f, f') is constant
-    f = tuple(Fraction(c) for c in coeffs)
-    g = _poly_trim(_poly_deriv(f))
-    while g:
-        f, g = g, _poly_divmod(f, g)[1]
-    return len(f) == 1

@@ -1,6 +1,6 @@
-"""Exact univariate real-root isolation via Sturm sequences, bivariate system
-solving via Sylvester resultants, and the real singular points of plane
-curves.
+"""Exact univariate real-root isolation on the Sturm chain of ``exactnum``,
+bivariate system solving via Sylvester resultants over Z[t], and the real
+singular points of plane curves.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from math import gcd
 from .exactnum import (
     AlgebraicReal,
     RationalInterval,
+    UniPoly,
+    _sturm_chain,
+    _variations,
     simplest_in_interval,
 )
 from .mpoly import MultiPoly, grevlex_order
@@ -40,219 +43,6 @@ class PrecisionError(RuntimeError):
 
 class DegenerateSystemError(RuntimeError):
     """The polynomial system has a shared component (not zero-dimensional)."""
-
-
-class UniPoly:
-    """Univariate polynomial, ascending Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        other = _coerce_unipoly(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UniPoly(
-            [
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = _coerce_unipoly(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_unipoly(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def divmod(self, other: "UniPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        lb = other.coeffs[-1]
-        db = other.degree
-        while len(r) - 1 >= db and any(r):
-            if not r[-1]:
-                r.pop()
-                continue
-            shift = len(r) - 1 - db
-            factor = r[-1] / lb
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= factor * c
-            r.pop()
-        return UniPoly(q), UniPoly(r)
-
-    def primitive(self) -> "UniPoly":
-        """Scale to coprime integers with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        p = self.scaled_primitive()
-        if p.coeffs[-1] < 0:
-            return UniPoly([-c for c in p.coeffs])
-        return p
-
-    def scaled_primitive(self) -> "UniPoly":
-        """Scale by a positive rational to coprime integers (sign preserved)."""
-        if self.is_zero:
-            return self
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        scale = Fraction(den, num)
-        return UniPoly([c * scale for c in self.coeffs])
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a.primitive()
-
-    def squarefree_part(self) -> "UniPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.primitive()
-        return self.divmod(g)[0].primitive()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def compose_power(self, stride: int) -> "UniPoly":
-        """Substitute t**stride for the variable: f(v) -> f(t**stride)."""
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        out = [Fraction(0)] * (stride * self.degree + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[i * stride] = c
-        return UniPoly(out)
-
-    def int_coeffs(self):
-        p = self.primitive()
-        return tuple(int(c) for c in p.coeffs)
-
-    def root_bound(self) -> Fraction:
-        """Cauchy bound: every real root lies in (-M, M)."""
-        if self.degree < 0:
-            raise ValueError("zero polynomial")
-        lead = abs(self.coeffs[-1])
-        m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
-        return 1 + m / lead
-
-    def __repr__(self):
-        return f"UniPoly({[str(c) for c in self.coeffs]})"
-
-
-def _coerce_unipoly(v):
-    if isinstance(v, UniPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return UniPoly([v])
-    if isinstance(v, (list, tuple)):
-        return UniPoly(v)
-    return NotImplemented
-
-
-# --- Sturm machinery ---------------------------------------------------------
-
-
-def _sturm_chain(f: UniPoly):
-    """Sturm chain of a squarefree polynomial.
-
-    Elements are rescaled by positive rationals only; sign structure is what
-    the root count lives on.
-    """
-    chain = [f.scaled_primitive()]
-    d = f.derivative()
-    if not d.is_zero:
-        chain.append(d.scaled_primitive())
-        while True:
-            r = chain[-2].divmod(chain[-1])[1]
-            if r.is_zero:
-                break
-            chain.append((-r).scaled_primitive())
-    return chain
-
-
-def _variations(chain, x) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 @dataclass(frozen=True)
@@ -363,6 +153,13 @@ def _zp_mul(a, b):
     return _zp_trim(out)
 
 
+def _zp_add(a, b):
+    n = max(len(a), len(b))
+    return _zp_trim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
 def _zp_sub(a, b):
     n = max(len(a), len(b))
     return _zp_trim(
@@ -423,6 +220,22 @@ def _bareiss_det(mat):
     return det
 
 
+def _sylvester_det(fc, gc):
+    """Determinant of the Sylvester matrix of two polynomials of positive
+    degree, given by their ascending coefficient lists, each coefficient a
+    trimmed Z[t] polynomial."""
+    df, dg = len(fc) - 1, len(gc) - 1
+    n = df + dg
+    mat = []
+    for cs, d, copies in ((fc, df, dg), (gc, dg, df)):
+        for i in range(copies):
+            row = [[] for _ in range(n)]
+            for k, c in enumerate(cs):
+                row[i + d - k] = c
+            mat.append(row)
+    return _bareiss_det(mat)
+
+
 def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
     """Sylvester resultant of two bivariate polynomials.
 
@@ -458,20 +271,7 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
         return UniPoly([Fraction(c) for c in fc[0]]) ** dg if dg else UniPoly([1])
     if dg == 0:
         return UniPoly([Fraction(c) for c in gc[0]]) ** df
-    n = df + dg
-    mat = []
-    for i in range(dg):
-        row = [[] for _ in range(n)]
-        for k in range(df + 1):
-            row[i + (df - k)] = fc[k]
-        mat.append(row)
-    for i in range(df):
-        row = [[] for _ in range(n)]
-        for k in range(dg + 1):
-            row[i + (dg - k)] = gc[k]
-        mat.append(row)
-    det = _bareiss_det(mat)
-    return UniPoly(det)
+    return UniPoly(_sylvester_det(fc, gc))
 
 
 # --- real singular points ----------------------------------------------------
@@ -496,7 +296,7 @@ class SingularPoint:
         return _coord_interval(self.y1, eps), _coord_interval(self.y2, eps)
 
     def float_coords(self) -> tuple[float, float]:
-        return _coord_float(self.y1), _coord_float(self.y2)
+        return float(self.y1), float(self.y2)
 
     def is_rational(self) -> bool:
         return isinstance(self.y1, Fraction) and isinstance(self.y2, Fraction)
@@ -506,12 +306,6 @@ def _coord_interval(c, eps) -> RationalInterval:
     if isinstance(c, AlgebraicReal):
         return c.refine(eps)
     return RationalInterval.point(Fraction(c))
-
-
-def _coord_float(c) -> float:
-    if isinstance(c, AlgebraicReal):
-        return c.to_float()
-    return float(c)
 
 
 def _chart_poly(q: MultiPoly, chart: int) -> MultiPoly:

@@ -29,6 +29,17 @@ L
 0 0
 """
 
+# two conics crossing in the nodes (+-sqrt2, +-1): the table prints the
+# irrational coordinate as its isolating interval refined to 1e-12
+TWO_CONICS = "y1^4 - y2^4 - 4*y0^2*y1^2 + 2*y0^2*y2^2 + 3*y0^4"
+TWO_CONICS_TABLE = (
+    "chart                                     y1                                 y2 isolated  mult>=\n"
+    "affine      [-1.41421356237, -1.41421356237]                                 -1 no        2\n"
+    "affine      [-1.41421356237, -1.41421356237]                                  1 no        2\n"
+    "affine        [1.41421356237, 1.41421356237]                                 -1 no        2\n"
+    "affine        [1.41421356237, 1.41421356237]                                  1 no        2\n"
+)
+
 APPENDIX_P = "x0^3 - 3/4*x2*x0^2 - 2*x1^2*x0 - 21/16*x2^2*x0 + 55/64*x2^3 - 3/2*x1^2*x2"
 
 
@@ -118,6 +129,14 @@ class TestSingular:
         rows = [l for l in out.splitlines() if l.startswith("affine")]
         assert len(rows) == 1
 
+    def test_algebraic_coordinates_table(self, tmp_path, capsys):
+        f = tmp_path / "conics.poly"
+        f.write_text(TWO_CONICS + "\n")
+        assert main(["singular", "--input", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == TWO_CONICS_TABLE
+        assert captured.err == ""
+
     def test_smooth_conic_empty(self, tmp_path, capsys):
         f = tmp_path / "conic.poly"
         f.write_text("y0^2 - y1^2 - y2^2\n")
@@ -158,6 +177,25 @@ class TestShowConfig:
         assert "resolution = 100" in out and "tol_geom = 1e-07" in out
         # flags beat the file
         assert main(["dual", "--input", "/nonexistent", "--resolution", "50"]) == 2
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("resolution = 100\nresolutoin = 50\n", ["line 2", "'resolutoin'"]),
+            ("# comment\n\nresolution = abc\n", ["line 3", "'resolution'", "'abc'"]),
+            ("tol-geom = tiny\n", ["line 1", "'tol-geom'", "'tiny'"]),
+        ],
+        ids=["unknown-key", "bad-int", "bad-float"],
+    )
+    def test_config_file_errors(self, tmp_path, capsys, monkeypatch, text, words):
+        cfg = tmp_path / "kippenhahn.cfg"
+        cfg.write_text(text)
+        monkeypatch.setenv("KIPPENHAHN_CONFIG", str(cfg))
+        assert main(["--show-config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for w in words:
+            assert w in captured.err
 
     def test_invalid_resolution(self, tmp_path, capsys):
         f = tmp_path / "conic.poly"

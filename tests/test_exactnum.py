@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +12,16 @@ from kippenhahn.exactnum import (
     GaussianRational,
     ParseError,
     RationalInterval,
+    UniPoly,
     format_rational,
     parse_gaussian,
     parse_rational,
     simplest_in_interval,
     sturm_count,
 )
-from kippenhahn.realroots import UniPoly, count_real_roots
+from kippenhahn.realroots import count_real_roots
+
+_X = sympy.symbols("x")
 
 
 def _mul(f, g):
@@ -26,6 +30,27 @@ def _mul(f, g):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return out
+
+
+def _build(roots, cofactor):
+    """Ascending integer coefficients of cofactor * prod (d t - k)^mult."""
+    poly = cofactor
+    for k, d, mult in roots:
+        for _ in range(mult):
+            poly = _mul(poly, [-k, d])
+    return poly
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), _X)
+
+
+def _monic(coeffs):
+    """Ascending coefficients scaled to leading coefficient 1, trimmed."""
+    cs = [Fraction(str(c)) for c in coeffs]  # Fraction or sympy rational
+    while cs and not cs[-1]:
+        cs.pop()
+    return [c / cs[-1] for c in cs] if cs else []
 
 
 # integer polynomials built from rational roots k/d with multiplicities, times
@@ -177,13 +202,39 @@ class TestSturmCount:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_root, max_size=3), _cofactor, _endpoint, _endpoint)
-    def test_matches_realroots(self, roots, cofactor, a, b):
-        poly = cofactor
-        for k, d, mult in roots:
-            for _ in range(mult):
-                poly = _mul(poly, [-k, d])
+    def test_matches_sympy(self, roots, cofactor, a, b):
+        poly = _build(roots, cofactor)
         lo, hi = min(a, b), max(a, b)
-        assert sturm_count(poly, lo, hi) == count_real_roots(UniPoly(poly), lo, hi)
+        # sympy counts distinct roots in the closed [lo, hi]; ours in (lo, hi]
+        ref = _sympy_poly(poly)
+        expected = ref.count_roots(lo, hi) - (1 if ref.eval(lo) == 0 else 0)
+        assert sturm_count(poly, lo, hi) == expected
+        assert count_real_roots(UniPoly(poly), lo, hi) == expected
+
+
+class TestUniPolyGcd:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_root, max_size=3),
+        st.lists(_root, max_size=2),
+        st.lists(_root, max_size=2),
+        _cofactor,
+        _cofactor,
+    )
+    def test_gcd_matches_sympy(self, common, only_f, only_g, cf, cg):
+        f = _build(common + only_f, cf)
+        g = _build(common + only_g, cg)
+        ours = UniPoly(f).gcd(UniPoly(g))
+        ref = sympy.gcd(_sympy_poly(f), _sympy_poly(g))
+        assert _monic(ours.coeffs) == _monic(reversed(ref.all_coeffs()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_root, max_size=4), _cofactor)
+    def test_squarefree_part_matches_sympy(self, roots, cofactor):
+        f = _build(roots, cofactor)
+        ours = UniPoly(f).squarefree_part()
+        ref = sympy.sqf_part(_sympy_poly(f))
+        assert _monic(ours.coeffs) == _monic(reversed(ref.all_coeffs()))
 
 
 class TestSimplestInInterval:
