@@ -47,7 +47,6 @@ from .matrixpencil import (
     support_function,
 )
 from .realroots import (
-    IsolatedRoot,
     PrecisionError,
     SingularPoint,
     count_real_roots,

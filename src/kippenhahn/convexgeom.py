@@ -21,7 +21,6 @@ from .exactnum import (
     ComplexInterval,
     RationalInterval,
     UniPoly,
-    sturm_count,
 )
 from .mpoly import MultiPoly, parse_poly
 from .matrixpencil import (
@@ -32,7 +31,7 @@ from .matrixpencil import (
     support_function,
     sample_numrange_boundary,
 )
-from .realroots import _sylvester_det, _zp_add, _zp_mul
+from .realroots import count_real_roots, resultant
 
 __all__ = [
     "ProjPoint",
@@ -60,6 +59,8 @@ __all__ = [
 ]
 
 GEOM_TOL = 1e-9
+# the hull_hausdorff tolerance is HULL_CONSTANT / resolution^2
+HULL_CONSTANT = 24.0  # calibrated on the n = 2 ellipse case
 
 
 # --- projective duality -------------------------------------------------------
@@ -452,8 +453,6 @@ def line_curve_real_check(body, e, direction, strict_tol: float = GEOM_TOL) -> L
     fs = f.squarefree_part()
     distinct = 0
     if fs.degree > 0:
-        from .realroots import count_real_roots
-
         distinct = count_real_roots(fs)
     return LineRealResult(
         all_real=(fs.degree <= 0) or (distinct == fs.degree),
@@ -607,21 +606,20 @@ def _generator_sign(c: AlgebraicReal, base: AlgebraicReal) -> int:
 def _coords_as_wpolys(coords):
     """Express projective coordinates as integer polynomials in one generator.
 
-    Returns (coeff_polys, modulus, interval): each coordinate becomes a tuple
-    of ints (ascending powers of the generator w), the modulus is the
-    generator's squarefree integer polynomial and interval isolates its root.
+    Returns (coeff_polys, gen): each coordinate becomes a UniPoly with
+    integer coefficients in the generator w, and gen is the AlgebraicReal w.
     Coordinates may be rationals plus one algebraic number (up to sign);
     all-rational input uses the trivial generator w = 0.
     """
-    base: AlgebraicReal | None = None
+    gen: AlgebraicReal | None = None
     signs = {}
     for i, c in enumerate(coords):
         if isinstance(c, AlgebraicReal):
-            if base is None:
-                base = c
+            if gen is None:
+                gen = c
                 signs[i] = 1
             else:
-                s = _generator_sign(c, base)
+                s = _generator_sign(c, gen)
                 if s == 0:
                     raise ValueError(
                         "coordinates may involve at most one algebraic generator"
@@ -636,132 +634,101 @@ def _coords_as_wpolys(coords):
     polys = []
     for i, c in enumerate(coords):
         if isinstance(c, AlgebraicReal):
-            polys.append((0, signs[i] * den))
+            polys.append(UniPoly([0, signs[i] * den]))
         else:
-            polys.append((int(c * den),))
-    if base is None:
-        return polys, (0, 1), RationalInterval.point(0)
-    return polys, base.poly, base.interval
+            polys.append(UniPoly([c * den]))
+    if gen is None:
+        gen = AlgebraicReal((0, 1), RationalInterval.point(0))
+    return polys, gen
+
+
+def _enclose(f: UniPoly, iv: RationalInterval) -> RationalInterval:
+    """Interval Horner value of f over iv (a point interval for constants)."""
+    v = f(iv)
+    return v if isinstance(v, RationalInterval) else RationalInterval.point(v)
 
 
 def _polar_line_param(point_coords, eps):
     """Denominator-free parametrization P + t Q of the polar line of a point.
 
-    Returns (Pp, Qq, modulus, w_iv): the coordinates of P and Q as integer
-    polynomials in the point's generator (see ``_coords_as_wpolys``), its
-    modulus, and its isolating interval, refined to width eps when the point
-    is algebraic.  Pivots on the coordinate of largest magnitude:
+    Returns (Pp, Qq, gen, w_iv): the coordinates of P and Q as integer
+    polynomials in the point's generator (see ``_coords_as_wpolys``), the
+    generator, and its isolating interval refined to width eps.  Pivots on
+    the coordinate of largest magnitude:
     P = y_piv e_j - y_j e_piv, Q = y_piv e_k - y_k e_piv.
     """
-    coords, modulus, w_iv = _coords_as_wpolys(point_coords)
-    gen = next((c for c in point_coords if isinstance(c, AlgebraicReal)), None)
-    if gen is not None:
-        w_iv = gen.refine(eps)
-    mags = [abs(_wp_eval_interval(c, w_iv).mid) for c in coords]
+    coords, gen = _coords_as_wpolys(point_coords)
+    w_iv = gen.refine(eps)
+    mags = [abs(_enclose(c, w_iv).mid) for c in coords]
     piv = max(range(3), key=lambda i: mags[i])
     j, k = [i for i in range(3) if i != piv]
-    Pp = [(0,), (0,), (0,)]
+    Pp = [UniPoly([])] * 3
     Pp[j] = coords[piv]
-    Pp[piv] = tuple(-c for c in coords[j])
-    Qq = [(0,), (0,), (0,)]
+    Pp[piv] = -coords[j]
+    Qq = [UniPoly([])] * 3
     Qq[k] = coords[piv]
-    Qq[piv] = tuple(-c for c in coords[k])
-    return Pp, Qq, modulus, w_iv
+    Qq[piv] = -coords[k]
+    return Pp, Qq, gen, w_iv
 
 
-def _wp_eval_interval(wp, iv: RationalInterval) -> RationalInterval:
-    acc = RationalInterval.point(0)
-    for c in reversed(wp):
-        acc = acc * iv + RationalInterval.point(Fraction(c))
-    return acc
+def _t_coefficients(g: MultiPoly) -> list[UniPoly]:
+    """Coefficients of g(w, t) in t, ascending, each a UniPoly in w."""
+    rows = [[0] * (g.degree_in(0) + 1) for _ in range(g.degree_in(1) + 1)]
+    for (i, j), c in g.terms.items():
+        rows[j][i] = c
+    return [UniPoly(r) for r in rows]
 
 
-def _wp_vanishes(wp, modulus, interval) -> bool:
-    """Exactly decide whether an integer w-polynomial vanishes at the root.
-
-    The modulus is only a squarefree candidate, so the test goes through
-    gcd(wp, modulus) and a Sturm count over the isolating interval.
-    """
-    f = UniPoly(wp)
-    if f.is_zero:
-        return True
-    g = f.gcd(UniPoly(modulus))
-    if g.degree <= 0:
-        return False
-    if interval.width == 0:
-        return g(interval.lo) == 0
-    count = sturm_count(g.int_coeffs(), interval.lo, interval.hi)
-    if g(interval.lo) == 0:
-        count += 1
-    return count >= 1
-
-
-def _nft_eval(poly_wp, w_iv: RationalInterval, t: ComplexInterval) -> ComplexInterval:
-    """Evaluate a Z[w][t] polynomial at (w interval, complex t box)."""
+def _horner(coeffs, t: ComplexInterval) -> ComplexInterval:
     acc = ComplexInterval(RationalInterval.point(0))
-    for wp in reversed(poly_wp):
-        coeff = ComplexInterval(_wp_eval_interval(wp, w_iv))
-        acc = acc * t + coeff
+    for c in reversed(coeffs):
+        acc = acc * t + c
     return acc
-
-
-def _nft_derivative(poly_wp):
-    return [[c * k for c in wp] for k, wp in enumerate(poly_wp) if k >= 1]
-
-
-def _nft_mul(A, B):
-    out = [[] for _ in range(len(A) + len(B) - 1)]
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            out[i + j] = _zp_add(out[i + j], _zp_mul(a, b))
-    return out
-
-
-def _nft_add(A, B):
-    n = max(len(A), len(B))
-    return [
-        _zp_add(A[i] if i < len(A) else [], B[i] if i < len(B) else [])
-        for i in range(n)
-    ]
 
 
 def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
     """Contact points where the polar line of y touches the curve {p = 0}.
 
     Restricts p to the polar line of y (parametrized denominator-free over
-    the ring generated by y's coordinates), certifies a multiple root through
-    the exact vanishing of Res_t(g, g') at the algebraic generator, and
-    localizes contact parameters by complex interval Newton on g'.  Returns
-    interval-certified witnesses in the chart x0 = 1; an empty list means the
-    polar of y is not tangent to the curve.
+    the ring generated by y's coordinates) as g(w, t), certifies a multiple
+    root through the exact vanishing of Res_t(g, g') at the algebraic
+    generator w, and localizes contact parameters by complex interval Newton
+    on g'.  Returns interval-certified witnesses in the chart x0 = 1; an
+    empty list means the polar of y is not tangent to the curve.
     """
     if len(p.variables) != 3:
         raise ValueError("need a trivariate curve polynomial")
-    p = p.normalized()
-    Pp, Qq, modulus, w_iv = _polar_line_param(y.coords, eps)
-    lin = [[Pp[i], Qq[i]] for i in range(3)]
-    g = [[]]
-    for exp, c in p.terms.items():
-        term = [[int(c)]]
-        for i in range(3):
-            for _ in range(exp[i]):
-                term = _nft_mul(term, lin[i])
-        g = _nft_add(g, term)
-    while len(g) > 1 and _wp_vanishes(g[-1], modulus, w_iv):
-        g = g[:-1]
-    if len(g) <= 1:
+    Pp, Qq, gen, w_iv = _polar_line_param(y.coords, eps)
+    wt = ("w", "t")
+    t = MultiPoly.variable(wt, 1)
+
+    def lift(f: UniPoly) -> MultiPoly:
+        return MultiPoly(wt, {(i, 0): c for i, c in enumerate(f.coeffs)})
+
+    g = p.normalized().evaluate([lift(Pp[i]) + t * lift(Qq[i]) for i in range(3)])
+    while g.degree_in(1) > 0 and gen.is_root_of(_t_coefficients(g)[-1]):
+        top = g.degree_in(1)
+        g = MultiPoly(wt, {e: c for e, c in g.terms.items() if e[1] < top})
+    if g.degree_in(1) <= 0:
         return []
-    gp = _nft_derivative(g)
+    gp = g.diff(1)
 
     # exact double-root test: Res_t(g, g') must vanish at the generator
-    if not _wp_vanishes(_sylvester_det(g, gp), modulus, w_iv):
+    if not gen.is_root_of(resultant(g, gp, eliminate=1)):
         return []
+
+    # interval coefficients in t, each enclosing its w-polynomial over w_iv
+    g_iv, gp_iv, gpp_iv = (
+        [ComplexInterval(_enclose(c, w_iv)) for c in _t_coefficients(h)]
+        for h in (g, gp, gp.diff(1))
+    )
 
     # localize critical points of g numerically, certify by interval Newton
     wf = float(w_iv.mid)
-    gp_float = [sum(c * wf**i for i, c in enumerate(wp)) for wp in gp]
+    gp_float = [
+        sum(c * wf**i for i, c in enumerate(wp.coeffs)) for wp in _t_coefficients(gp)
+    ]
     roots = np.roots(list(reversed(gp_float))) if len(gp_float) > 1 else []
-    gpp = _nft_derivative(gp)
     boxes = []
     for r in roots:
         box = None
@@ -777,7 +744,7 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
                 RationalInterval.point(t0_re), RationalInterval.point(t0_im)
             )
             try:
-                newton = mid - _nft_eval(gp, w_iv, mid) / _nft_eval(gpp, w_iv, T)
+                newton = mid - _horner(gp_iv, mid) / _horner(gpp_iv, T)
             except ZeroDivisionError:
                 rad = rad / 16
                 continue
@@ -788,18 +755,17 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
         if box is None:
             continue
         # discard critical points that certainly miss the curve
-        if not _nft_eval(g, w_iv, box).contains_zero():
+        if not _horner(g_iv, box).contains_zero():
             continue
         boxes.append(box)
 
     out = []
     for T in boxes:
-        xs = []
-        for i in range(3):
-            xs.append(
-                ComplexInterval(_wp_eval_interval(lin[i][0], w_iv))
-                + T * ComplexInterval(_wp_eval_interval(lin[i][1], w_iv))
-            )
+        xs = [
+            ComplexInterval(_enclose(Pp[i], w_iv))
+            + T * ComplexInterval(_enclose(Qq[i], w_iv))
+            for i in range(3)
+        ]
         x0 = xs[0]
         if x0.contains_zero():
             continue  # contact in the chart at infinity; not representable here
@@ -821,10 +787,9 @@ class VerifyConfig:
     lemma_samples: int = 200
     obs2_lines: int = 100
     seed: int = 20230114
-    hull_constant: float = 24.0  # calibrated on the n = 2 ellipse case
 
     def hull_tolerance(self) -> float:
-        return self.hull_constant / float(self.resolution) ** 2
+        return HULL_CONSTANT / float(self.resolution) ** 2
 
 
 @dataclass
@@ -888,8 +853,8 @@ def _certified_polar_crossing(body, point_coords, tol):
         Pp, Qq, _, w_iv = _polar_line_param(point_coords, Fraction(1, 10**25))
         # rational parameter near the float optimum
         sx, sy = meet.point
-        pf = [_wp_eval_interval(c, w_iv) for c in Pp]
-        qf = [_wp_eval_interval(c, w_iv) for c in Qq]
+        pf = [_enclose(c, w_iv) for c in Pp]
+        qf = [_enclose(c, w_iv) for c in Qq]
         denom = float(qf[0].mid) * sx - float(qf[1].mid)
         tstar = Fraction(0)
         if abs(denom) > 1e-12:

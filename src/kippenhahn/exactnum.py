@@ -795,8 +795,6 @@ class AlgebraicReal:
                 break
         if interval.width > 0:
             n = sturm_count(coeffs, interval.lo, interval.hi)
-            if f(interval.lo) == 0:
-                n += 1
             if n != 1:
                 raise ValueError(
                     f"interval {interval} isolates {n} roots, expected exactly 1"
@@ -815,6 +813,23 @@ class AlgebraicReal:
         if not self.is_rational:
             raise ValueError("not certified rational")
         return self.interval.lo
+
+    def is_root_of(self, f: UniPoly) -> bool:
+        """Exactly decide whether f vanishes at this number.
+
+        ``poly`` is only a squarefree candidate annihilator, so the test goes
+        through g = gcd(f, poly): f vanishes here iff g does, and g's roots
+        are roots of ``poly``, of which the isolating interval holds one.
+        """
+        if f.is_zero:
+            return True
+        g = f.gcd(UniPoly(self.poly))
+        if g.degree <= 0:
+            return False
+        iv = self.interval
+        if iv.width == 0:
+            return g(iv.lo) == 0
+        return sturm_count(g.int_coeffs(), iv.lo, iv.hi) == 1
 
     def refine(self, eps) -> RationalInterval:
         """Nested isolating interval of width <= eps, by sign bisection."""

@@ -1,6 +1,8 @@
 """Exact univariate real-root isolation on the Sturm chain of ``exactnum``,
-bivariate system solving via Sylvester resultants over Z[t], and the real
-singular points of plane curves.
+returning each root as an ``AlgebraicReal``; Sylvester resultants of
+bivariate ``MultiPoly`` systems, computed fraction-free (Bareiss) over Z[t]
+lists that never leave ``resultant``; and the real singular points of plane
+curves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .mpoly import MultiPoly, grevlex_order
 
 __all__ = [
     "UniPoly",
-    "IsolatedRoot",
     "SingularPoint",
     "PrecisionError",
     "DegenerateSystemError",
@@ -45,22 +46,6 @@ class DegenerateSystemError(RuntimeError):
     """The polynomial system has a shared component (not zero-dimensional)."""
 
 
-@dataclass(frozen=True)
-class IsolatedRoot:
-    """Isolating interval for one real root, with its Sturm certificate."""
-
-    poly: UniPoly  # squarefree polynomial whose root is isolated
-    interval: RationalInterval
-    variations_lo: int
-    variations_hi: int
-
-    def to_algebraic(self) -> AlgebraicReal:
-        return AlgebraicReal(self.poly.int_coeffs(), self.interval)
-
-    def refine(self, eps) -> RationalInterval:
-        return self.to_algebraic().refine(eps)
-
-
 def count_real_roots(f: UniPoly, lo=None, hi=None) -> int:
     """Distinct real roots of f in (lo, hi]; whole line when bounds omitted."""
     if f.is_zero:
@@ -77,11 +62,12 @@ def count_real_roots(f: UniPoly, lo=None, hi=None) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def sturm_isolate(f: UniPoly) -> list[IsolatedRoot]:
-    """Disjoint isolating intervals covering every real root of f.
+def sturm_isolate(f: UniPoly) -> list[AlgebraicReal]:
+    """Every real root of f, in increasing order, as an ``AlgebraicReal`` on
+    the squarefree part of f with disjoint isolating intervals.
 
-    Roots of multiplicity collapse to roots of the squarefree part; exact
-    rational hits during subdivision come back as point intervals.
+    Roots of multiplicity collapse to roots of the squarefree part.  Split
+    points are never roots, so every interval has positive width.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
@@ -90,7 +76,8 @@ def sturm_isolate(f: UniPoly) -> list[IsolatedRoot]:
         return []
     chain = _sturm_chain(fs)
     bound = fs.root_bound()
-    out: list[IsolatedRoot] = []
+    out: list[AlgebraicReal] = []
+    poly = fs.int_coeffs()
 
     def split_point(a: Fraction, b: Fraction) -> Fraction:
         for num, den in ((1, 2), (1, 4), (3, 4), (1, 3), (2, 3)):
@@ -104,7 +91,7 @@ def sturm_isolate(f: UniPoly) -> list[IsolatedRoot]:
         if n == 0:
             return
         if n == 1:
-            out.append(IsolatedRoot(fs, RationalInterval(a, b), va, vb))
+            out.append(AlgebraicReal(poly, RationalInterval(a, b)))
             return
         m = split_point(a, b)
         vm = _variations(chain, m)
@@ -151,13 +138,6 @@ def _zp_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _zp_trim(out)
-
-
-def _zp_add(a, b):
-    n = max(len(a), len(b))
-    return _zp_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
 
 
 def _zp_sub(a, b):
@@ -220,22 +200,6 @@ def _bareiss_det(mat):
     return det
 
 
-def _sylvester_det(fc, gc):
-    """Determinant of the Sylvester matrix of two polynomials of positive
-    degree, given by their ascending coefficient lists, each coefficient a
-    trimmed Z[t] polynomial."""
-    df, dg = len(fc) - 1, len(gc) - 1
-    n = df + dg
-    mat = []
-    for cs, d, copies in ((fc, df, dg), (gc, dg, df)):
-        for i in range(copies):
-            row = [[] for _ in range(n)]
-            for k, c in enumerate(cs):
-                row[i + d - k] = c
-            mat.append(row)
-    return _bareiss_det(mat)
-
-
 def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
     """Sylvester resultant of two bivariate polynomials.
 
@@ -271,7 +235,15 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
         return UniPoly([Fraction(c) for c in fc[0]]) ** dg if dg else UniPoly([1])
     if dg == 0:
         return UniPoly([Fraction(c) for c in gc[0]]) ** df
-    return UniPoly(_sylvester_det(fc, gc))
+    n = df + dg
+    mat = []
+    for cs, d, copies in ((fc, df, dg), (gc, dg, df)):
+        for i in range(copies):
+            row = [[] for _ in range(n)]
+            for k, c in enumerate(cs):
+                row[i + d - k] = c
+            mat.append(row)
+    return UniPoly(_bareiss_det(mat))
 
 
 # --- real singular points ----------------------------------------------------
@@ -350,15 +322,15 @@ def _poly_gcd_many(polys: list[UniPoly]) -> UniPoly:
     return g
 
 
-def _rationalize_root(root: IsolatedRoot, eps) -> object:
+def _rationalize_root(root: AlgebraicReal, eps) -> object:
     """Return a Fraction when the isolated root is (certifiably) rational."""
     iv = root.refine(eps)
     if iv.width == 0:
         return iv.lo
     cand = simplest_in_interval(iv.lo, iv.hi)
-    if root.poly(cand) == 0:
+    if UniPoly(root.poly)(cand) == 0:
         return cand
-    return AlgebraicReal(root.poly.int_coeffs(), iv)
+    return AlgebraicReal(root.poly, iv)
 
 
 def _candidate_coordinates(system, var: int, eps):
@@ -371,6 +343,8 @@ def _candidate_coordinates(system, var: int, eps):
     pairs = [(1, 2), (0, 1), (0, 2)]
     res = None
     for i, j in pairs:
+        if polys[i].is_zero or polys[j].is_zero:
+            continue
         if polys[i].degree_in(1 - var) <= 0 and polys[j].degree_in(1 - var) <= 0:
             continue
         r = resultant(polys[i], polys[j], eliminate=1 - var)
@@ -380,15 +354,16 @@ def _candidate_coordinates(system, var: int, eps):
             # vanish: append their shared roots
             lc_i = polys[i].univariate_in(1 - var).get(polys[i].degree_in(1 - var))
             lc_j = polys[j].univariate_in(1 - var).get(polys[j].degree_in(1 - var))
-            try:
-                lci = _to_unipoly_in(lc_i, var)
-                lcj = _to_unipoly_in(lc_j, var)
-                extra = lci.gcd(lcj)
-                if extra.degree > 0:
-                    res = res * extra
-            except ValueError:
-                pass
+            extra = _to_unipoly_in(lc_i, var).gcd(_to_unipoly_in(lc_j, var))
+            if extra.degree > 0:
+                res = res * extra
             break
+    if res is None and all(p.degree_in(1 - var) <= 0 for p in polys):
+        # no equation involves the eliminated variable: the common zeros lie
+        # above the roots of their gcd
+        res = _poly_gcd_many([_to_unipoly_in(p, var) for p in polys])
+        if res.degree <= 0:
+            return []
     if res is None:
         raise DegenerateSystemError(
             "no projection resultant is nonzero; system shares a component"
@@ -583,14 +558,7 @@ def _infinity_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
     grads = q.gradient()
     out = []
     # points (0 : 1 : t)
-    polys = []
-    for g in grads:
-        cs = [Fraction(0)] * (g.degree_in(2) + 1 if not g.is_zero else 1)
-        for exp, c in g.terms.items():
-            if exp[0] == 0:
-                # term y1^e1 y2^e2 evaluated at (0, 1, t)
-                cs[exp[2]] += c
-        polys.append(UniPoly(cs))
+    polys = [_substitute_zero(_chart_poly(g, 1), 0) for g in grads]
     if all(p.is_zero for p in polys):
         raise DegenerateSystemError("gradient vanishes on the line at infinity")
     g = _poly_gcd_many(polys)

@@ -137,6 +137,16 @@ class TestSingular:
         assert captured.out == TWO_CONICS_TABLE
         assert captured.err == ""
 
+    def test_lines_meeting_at_infinity(self, tmp_path, capsys):
+        # det(x0 + x1 K) with K = diag(1, 2, 3), L = 0: three real lines
+        # through (0 : 0 : 1)
+        f = tmp_path / "diag.pencil"
+        f.write_text("n 3\nK\n1 0 0\n0 2 0\n0 0 3\nL\n0 0 0\n0 0 0\n0 0 0\n")
+        assert main(["singular", "--input", str(f)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].split() == ["infinity", "0", "1", "-", "2"]
+
     def test_smooth_conic_empty(self, tmp_path, capsys):
         f = tmp_path / "conic.poly"
         f.write_text("y0^2 - y1^2 - y2^2\n")

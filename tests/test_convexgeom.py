@@ -21,7 +21,7 @@ from kippenhahn.convexgeom import (
     sample_kippenhahn_curve,
     tangency_check,
 )
-from kippenhahn.exactnum import AlgebraicReal, RationalInterval
+from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil
 from kippenhahn.mpoly import parse_poly
@@ -333,6 +333,28 @@ class TestTangency:
         assert len(wits) == 2
         a, b = wits
         # complex conjugates of one another
+        assert a.x1.re.intersect(b.x1.re) is not None
+        assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
+
+    @pytest.mark.parametrize("s1, s2", [(1, -1), (-1, 1)])
+    def test_fermat_negated_generator(self, s1, s2):
+        # one coordinate is the other's generator negated.  The polar of
+        # y = (1 : y1 : y2) touches x0^6 = x1^6 + x2^6 where the gradient
+        # (6, -6 x1^5, -6 x2^5) is parallel to y: x_k^5 = -y_k
+        p = parse_poly("x0^6 - x1^6 - x2^6", V3)
+        plus = omega()
+        minus = AlgebraicReal(plus.poly, RationalInterval(-2, -1))
+        y = [plus if s > 0 else minus for s in (s1, s2)]
+        wits = tangency_check(p, ProjPoint(1, *y))
+        assert len(wits) == 2
+        eps = Fraction(1, 10**25)
+        for w in wits:
+            for x, yk in zip((w.x1, w.x2), y):
+                yk = ComplexInterval(yk.refine(eps))
+                assert (x**5 + yk).contains_zero()
+                assert not (x**5 - yk).contains_zero()
+            assert (1 - w.x1**6 - w.x2**6).contains_zero()
+        a, b = wits
         assert a.x1.re.intersect(b.x1.re) is not None
         assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
 

@@ -19,7 +19,7 @@ from kippenhahn.exactnum import (
     simplest_in_interval,
     sturm_count,
 )
-from kippenhahn.realroots import count_real_roots
+from kippenhahn.realroots import count_real_roots, sturm_isolate
 
 _X = sympy.symbols("x")
 
@@ -59,6 +59,13 @@ def _monic(coeffs):
 _root = st.tuples(st.integers(-6, 6), st.sampled_from([1, 2]), st.integers(1, 3))
 _cofactor = st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(any)
 _endpoint = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+# ascending integer factors, some irreducible with irrational real roots
+_factor = st.one_of(
+    st.tuples(st.integers(-6, 6), st.sampled_from([1, 2])).map(lambda kd: [-kd[0], kd[1]]),
+    st.integers(2, 7).map(lambda a: [-a, 0, 1]),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda bc: [bc[1], bc[0], 1]),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ab: [-ab[1], -ab[0], 0, 1]),
+)
 
 
 class TestRationals:
@@ -320,6 +327,45 @@ class TestAlgebraicReal:
     def test_rejects_nonsquarefree(self):
         with pytest.raises(ValueError):
             AlgebraicReal((1, 2, 1), RationalInterval(-2, 0))  # (t+1)^2
+
+    def test_is_root_of_rational_and_trivial_generator(self):
+        zero = AlgebraicReal((0, 1), RationalInterval.point(0))
+        assert zero.is_root_of(UniPoly([]))
+        assert zero.is_root_of(UniPoly([0, 3]))
+        assert not zero.is_root_of(UniPoly([1, 1]))
+        assert not zero.is_root_of(UniPoly([5]))
+        three = AlgebraicReal((-9, 0, 1), RationalInterval(3, 5))  # collapses
+        assert three.is_root_of(UniPoly([-3, 1]))
+        assert not three.is_root_of(UniPoly([3, 1]))
+        wide = AlgebraicReal((-3, 1), RationalInterval(0, 5))
+        assert wide.is_root_of(UniPoly([-3, 1]) * UniPoly([1, 1]))
+        assert not wide.is_root_of(UniPoly([-9, 0, 1]).derivative())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_factor, min_size=1, max_size=3),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+        _cofactor,
+        st.integers(0, 10),
+    )
+    def test_is_root_of_matches_sympy(self, factors, keep, cofactor, index):
+        # the oracle: sympy's minimal polynomial of the matching real root
+        # divides f exactly
+        m = UniPoly([1])
+        f = UniPoly(cofactor)
+        for fac, k in zip(factors, keep):
+            m = m * UniPoly(fac)
+            if k:
+                f = f * UniPoly(fac)
+        roots = sturm_isolate(m)
+        if not roots:
+            return
+        index %= len(roots)
+        root = roots[index]
+        sq = _sympy_poly([int(c) for c in root.poly])
+        minpoly = sympy.minimal_polynomial(sympy.CRootOf(sq.as_expr(), index), _X)
+        expected = sympy.rem(_sympy_poly(f.int_coeffs()).as_expr(), minpoly, _X) == 0
+        assert root.is_root_of(f) == expected
 
     def test_endpoint_root_collapses(self):
         a = AlgebraicReal((-9, 0, 1), RationalInterval(3, 5))

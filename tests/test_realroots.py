@@ -5,6 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from kippenhahn.exactnum import AlgebraicReal
 from kippenhahn.groebner import dual_curve
 from kippenhahn.mpoly import MultiPoly, parse_poly
 from kippenhahn.realroots import (
@@ -32,7 +33,7 @@ class TestSturmIsolate:
         roots = sturm_isolate(UniPoly([-2, 0, 1]))
         assert len(roots) == 2
         lo, hi = sqrt_bounds(2)
-        pos = roots[1].to_algebraic().refine(Fraction(1, 10**6))
+        pos = roots[1].refine(Fraction(1, 10**6))
         assert pos.lo <= lo and hi <= hi or pos.contains(lo)
 
     def test_golden_quadratic(self):
@@ -42,8 +43,16 @@ class TestSturmIsolate:
         lo5, hi5 = sqrt_bounds(5)
         target_lo = (11 + 5 * lo5) / 2
         target_hi = (11 + 5 * hi5) / 2
-        iv = roots[1].to_algebraic().refine(Fraction(1, 10**9))
+        iv = roots[1].refine(Fraction(1, 10**9))
         assert iv.lo <= target_hi and target_lo <= iv.hi
+
+    def test_roots_are_algebraic_reals(self):
+        f = UniPoly([1, 1]) * UniPoly([1, 1]) * UniPoly([-2, 0, 1])
+        roots = sturm_isolate(f)
+        assert [type(r) for r in roots] == [AlgebraicReal] * 3
+        # split points are never roots, so no interval collapses to a point
+        assert all(r.interval.width > 0 for r in roots)
+        assert all(r.poly == f.squarefree_part().int_coeffs() for r in roots)
 
     def test_no_real_roots(self):
         assert sturm_isolate(UniPoly([1, 0, 1])) == []
@@ -243,3 +252,19 @@ class TestSingularPoints:
         inf = [s for s in pts if s.chart == "infinity"]
         assert len(affine) == 1 and affine[0].float_coords() == (0.0, 0.0)
         assert len(inf) == 2
+
+    @pytest.mark.parametrize(
+        "text, y1, y2",
+        [
+            ("y0^2*y1 - y1^3", 0, 1),
+            ("y0^2*y2 - y2^3", 1, 0),
+            ("y0^3*y1 - y0*y1^3", 0, 1),
+            ("y0^2*y1 + y0*y1^2 - 2*y1^3", 0, 1),
+            ("y0^4 - 5*y0^2*y1^2 + 4*y1^4", 0, 1),
+        ],
+    )
+    def test_lines_through_a_coordinate_point_at_infinity(self, text, y1, y2):
+        # real lines meeting only at (0 : y1 : y2): the affine equations leave
+        # out a variable, and the affine chart has no singular point
+        pts = real_singular_points(parse_poly(text, VY))
+        assert [(s.chart, s.y1, s.y2) for s in pts] == [("infinity", y1, y2)]
