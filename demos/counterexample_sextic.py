@@ -3,7 +3,7 @@
 a numerical range, whose boundary-generating construction leaves four
 isolated singular points of the dual curve outside the set.
 
-Expect a couple of minutes: the degree-30 dual curve and the singular-point
+Expect several seconds: the degree-30 dual curve and the singular-point
 census run in exact arithmetic.
 """
 

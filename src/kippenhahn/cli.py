@@ -206,7 +206,11 @@ def cmd_singular(args) -> int:
         # singular census is the dual curve
         cfg = _build_config(args)
         p = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
-    pts = real_singular_points(p)
+    try:
+        pts = real_singular_points(p)
+    except ValueError as exc:  # the zero polynomial, or one not squarefree
+        print(f"invalid curve: {exc}", file=sys.stderr)
+        return 2
     print(f"{'chart':9s} {'y1':>34s} {'y2':>34s} {'isolated':9s} {'mult>=':6s}")
     for s in pts:
         iso = "-" if s.isolated is None else ("yes" if s.isolated else "no")

@@ -255,7 +255,15 @@ class SingularPoint:
 
     For chart "affine" the coordinates are (y1, y2) with y0 = 1; for chart
     "infinity" they are the last two entries of the projective point
-    (0 : y1 : y2).
+    (0 : y1 : y2).  ``isolated`` says whether no other real point of the
+    curve comes near (None at infinity and when undecided).  At a rational
+    point it is proved from the Newton polygon of q moved there: True when
+    no edge polynomial E(s, +-1) has a real root s != 0, False for one of
+    odd multiplicity or for a line through the point.  At any other point the
+    interval Hessian proves it: determinant > 0 is True (a strict extremum),
+    < 0 False (a node).  Otherwise exact samples of q on two rings of radius
+    about 1/64 may give False when the sign changes, the one heuristic
+    verdict; else it is None.
     """
 
     y1: object  # Fraction or AlgebraicReal
@@ -289,16 +297,6 @@ def _chart_poly(q: MultiPoly, chart: int) -> MultiPoly:
         terms[key] = terms.get(key, Fraction(0)) + c
     names = tuple(q.variables[i] for i in keep)
     return MultiPoly(names, terms, grevlex_order(2))
-
-
-def _to_unipoly_in(f: MultiPoly, var: int) -> UniPoly:
-    """A 2-variable MultiPoly that only involves ``var`` as a UniPoly."""
-    out = [Fraction(0)] * (f.degree_in(var) + 1 if not f.is_zero else 1)
-    for exp, c in f.terms.items():
-        if exp[1 - var]:
-            raise ValueError("polynomial is not univariate in the chosen variable")
-        out[exp[var]] += c
-    return UniPoly(out)
 
 
 def _substitute_zero(f: MultiPoly, var: int) -> UniPoly:
@@ -354,14 +352,14 @@ def _candidate_coordinates(system, var: int, eps):
             # vanish: append their shared roots
             lc_i = polys[i].univariate_in(1 - var).get(polys[i].degree_in(1 - var))
             lc_j = polys[j].univariate_in(1 - var).get(polys[j].degree_in(1 - var))
-            extra = _to_unipoly_in(lc_i, var).gcd(_to_unipoly_in(lc_j, var))
+            extra = _substitute_zero(lc_i, 1 - var).gcd(_substitute_zero(lc_j, 1 - var))
             if extra.degree > 0:
                 res = res * extra
             break
     if res is None and all(p.degree_in(1 - var) <= 0 for p in polys):
         # no equation involves the eliminated variable: the common zeros lie
         # above the roots of their gcd
-        res = _poly_gcd_many([_to_unipoly_in(p, var) for p in polys])
+        res = _poly_gcd_many([_substitute_zero(p, 1 - var) for p in polys])
         if res.degree <= 0:
             return []
     if res is None:
@@ -374,57 +372,64 @@ def _candidate_coordinates(system, var: int, eps):
     return [_rationalize_root(r, eps) for r in roots]
 
 
-def _box_eval(polys, box):
-    return [p.evaluate(box) for p in polys]
-
-
 def _verify_box(system_polys, c1, c2, eps) -> bool:
     """Certify a candidate point: exact for rational pairs, interval otherwise."""
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
         return all(p.evaluate((c1, c2)) == 0 for p in system_polys)
     box = (_coord_interval(c1, eps), _coord_interval(c2, eps))
-    values = _box_eval(system_polys, box)
+    values = [p.evaluate(box) for p in system_polys]
     if not all(
         isinstance(v, RationalInterval) and v.contains_zero() for v in values
     ):
         return False
     # second refinement pass guards against coincidental straddles
     box2 = (_coord_interval(c1, eps * eps), _coord_interval(c2, eps * eps))
-    values2 = _box_eval(system_polys, box2)
+    values2 = [p.evaluate(box2) for p in system_polys]
     return all(v.contains_zero() for v in values2)
 
 
-def _mean_value_enclosure(f: MultiPoly, grads, b1: RationalInterval, b2: RationalInterval):
-    """Enclosure of f over a box via the mean-value form.
+def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
+    """Whether (0, 0) is an isolated real zero of f, from its lower Newton
+    polygon: at an odd-multiplicity root s != 0 of an edge polynomial
+    E(s, +-1), f changes sign along u = s|v|^(wv/wu), a real branch (False);
+    without real roots s != 0 no real curve reaches (0, 0) off the axes, by
+    the curve selection lemma (True); even multiplicities leave None."""
+    a = min((i for i, j in f.terms if j == 0), default=None)
+    b = min((j for i, j in f.terms if i == 0), default=None)
+    if a is None or b is None:
+        return False  # f(u, 0) or f(0, v) is 0: a line through the point
+    # the polygon runs from (0, b) to (a, 0), never above the segment between
+    pts = [e for e in f.terms if e[0] * b + e[1] * a <= a * b]
+    verdict, (i0, j0) = True, (0, b)
+    while i0 < a:
+        # next vertex: least slope from (i0, j0), the farthest one on a tie
+        i1, j1 = min(
+            (e for e in pts if e[0] > i0),
+            key=lambda e: (Fraction(e[1] - j0, e[0] - i0), -e[0]),
+        )
+        edge = [e for e in pts if (j0 - j1) * (e[0] - i0) + (i1 - i0) * (e[1] - j0) == 0]
+        for sign in (1, -1):
+            coeffs = [0] * (i1 - i0 + 1)
+            for i, j in edge:
+                coeffs[i - i0] = f.terms[i, j] * sign**j
+            g = UniPoly(coeffs)
+            for root in sturm_isolate(g):
+                # isolating endpoints are not roots: g changes sign across a
+                # root exactly when its multiplicity is odd
+                if (g(root.interval.lo) > 0) != (g(root.interval.hi) > 0):
+                    return False
+                verdict = None
+        i0, j0 = i1, j1
+    return verdict
 
-    f(X) is contained in f(m) + grad f(X) . (X - m); far tighter than the
-    naive term-by-term evaluation near a zero of f, where the dependency
-    cancellation between large terms dominates.
-    """
-    m1, m2 = b1.mid, b2.mid
-    val = f.evaluate((m1, m2))
-    g1 = grads[0].evaluate((b1, b2))
-    g2 = grads[1].evaluate((b1, b2))
-    total = val + g1 * (b1 - m1) + g2 * (b2 - m2)
-    if isinstance(total, Fraction):
-        return RationalInterval.point(total)
-    return total
 
-
-def _certify_isolated(q_aff: MultiPoly, c1, c2, eps, delta=Fraction(1, 64)) -> bool:
-    """Sign-definiteness of q on a square annulus around the point.
-
-    Returns True when the curve has no other real points within the annulus,
-    i.e. the point is an isolated real point.
-    """
-    # the annulus only needs to contain the point's tiny box in its hole, so a
-    # coarse center keeps the interval arithmetic denominators small
+def _ring_sampling(q_aff: MultiPoly, c1, c2, eps, delta=Fraction(1, 64)) -> bool | None:
+    """False when exact signs of q sampled on two square rings around the
+    point change or vanish, else None.  A heuristic: a sign change at
+    distance delta need not come from a branch through the point."""
+    # a coarse center keeps the sample denominators small
     m1 = _coord_interval(c1, eps).mid.limit_denominator(2**32)
     m2 = _coord_interval(c2, eps).mid.limit_denominator(2**32)
-    hole = delta / 2
-
-    # cheap refutation first: exact signs sampled across the annulus change
-    # as soon as another curve branch passes through it
     sign_seen = 0
     for k in range(-8, 9):
         off = delta * Fraction(k, 8)
@@ -440,37 +445,23 @@ def _certify_isolated(q_aff: MultiPoly, c1, c2, eps, delta=Fraction(1, 64)) -> b
                     return False
                 sign_seen = s
             else:
-                return False  # exact curve point on the annulus
+                return False  # exact curve point on the ring
+    return None
 
-    frames = [
-        (m1 - delta, m1 - hole, m2 - delta, m2 + delta),
-        (m1 + hole, m1 + delta, m2 - delta, m2 + delta),
-        (m1 - hole, m1 + hole, m2 - delta, m2 - hole),
-        (m1 - hole, m1 + hole, m2 + hole, m2 + delta),
-    ]
-    grads = [q_aff.diff(0), q_aff.diff(1)]
 
-    def definite(x_lo, x_hi, y_lo, y_hi, depth) -> bool:
-        val = _mean_value_enclosure(
-            q_aff, grads, RationalInterval(x_lo, x_hi), RationalInterval(y_lo, y_hi)
-        )
-        if not val.contains_zero():
-            return True
-        if depth == 0:
-            return False
-        xm = (x_lo + x_hi) / 2
-        ym = (y_lo + y_hi) / 2
-        return all(
-            definite(a, b, c, d, depth - 1)
-            for a, b, c, d in (
-                (x_lo, xm, y_lo, ym),
-                (xm, x_hi, y_lo, ym),
-                (x_lo, xm, ym, y_hi),
-                (xm, x_hi, ym, y_hi),
-            )
-        )
-
-    return all(definite(*f, 8) for f in frames)
+def _certify_isolated(q_aff: MultiPoly, c1, c2, eps) -> bool | None:
+    """``SingularPoint.isolated`` at (c1, c2); the Hessian test rests on the
+    Morse lemma."""
+    if isinstance(c1, Fraction) and isinstance(c2, Fraction):
+        u, v = (MultiPoly.variable(q_aff.variables, i) for i in (0, 1))
+        verdict = _newton_polygon_verdict(q_aff.evaluate((u + c1, v + c2)))
+    else:
+        box = (_coord_interval(c1, eps), _coord_interval(c2, eps))
+        d1, d2 = q_aff.diff(0), q_aff.diff(1)
+        h11, h12, h22 = (h.evaluate(box) for h in (d1.diff(0), d1.diff(1), d2.diff(1)))
+        # an interval: constant entries mean a conic, whose singular points are rational
+        verdict = {1: True, -1: False, 0: None}[(h11 * h22 - h12 * h12).sign()]
+    return _ring_sampling(q_aff, c1, c2, eps) if verdict is None else verdict
 
 
 def _multiplicity_hint(system_polys, q_aff, c1, c2) -> int:
@@ -578,8 +569,11 @@ def real_singular_points(
     """All real singular points of the projective curve {q = 0}.
 
     Affine-chart points carry an interval or exact-rational coordinate pair
-    plus an isolation certificate; points on the line at infinity are
-    reported separately with chart "infinity".  Requires squarefree q.
+    and an ``isolated`` verdict, proved by the Newton polygon (rational
+    points) or the interval Hessian (others), or refuted by the ring-sampling
+    heuristic, or None (see ``SingularPoint``).  Points on the line at
+    infinity are reported separately with chart "infinity".  Requires
+    squarefree q.
     """
     if len(q.variables) != 3:
         raise ValueError("expected a polynomial in three homogeneous variables")

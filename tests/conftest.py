@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from kippenhahn.exactnum import GaussianRational
+from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil
+from kippenhahn.mpoly import parse_poly
 
 
 def make_eq3_pencil() -> HermitianPencil:
@@ -38,3 +41,11 @@ def make_random_pencil(rng: random.Random, n: int) -> HermitianPencil:
 @pytest.fixture(scope="session")
 def eq3_pencil() -> HermitianPencil:
     return make_eq3_pencil()
+
+
+@pytest.fixture(scope="session")
+def fermat_dual():
+    """The degree-30 dual of x0^6 - x1^6 - x2^6, with the seconds it took."""
+    t0 = time.monotonic()
+    q = dual_curve(parse_poly("x0^6 - x1^6 - x2^6", ("x0", "x1", "x2")))
+    return q, time.monotonic() - t0

@@ -64,13 +64,6 @@ def criterion(num: int, title: str):
 
 
 @pytest.fixture(scope="module")
-def fermat_dual():
-    t0 = time.monotonic()
-    q = dual_curve(parse_poly("x0^6 - x1^6 - x2^6", V3))
-    return q, time.monotonic() - t0
-
-
-@pytest.fixture(scope="module")
 def eq3_body():
     return PencilBody(make_eq3_pencil(), name="eq3")
 

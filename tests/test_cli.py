@@ -147,6 +147,14 @@ class TestSingular:
         assert len(rows) == 1
         assert rows[0].split() == ["infinity", "0", "1", "-", "2"]
 
+    def test_not_squarefree_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "double.poly"
+        f.write_text("y0^2*y1^2 - y1^4\n")
+        assert main(["singular", "--input", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid curve: polynomial must be squarefree\n"
+
     def test_smooth_conic_empty(self, tmp_path, capsys):
         f = tmp_path / "conic.poly"
         f.write_text("y0^2 - y1^2 - y2^2\n")

@@ -1,8 +1,4 @@
-"""Smoke tests: the narrative demos in demos/ run to completion.
-
-counterexample_sextic.py is left out for its run time; the fermat6 story it
-tells is pinned by the acceptance suite.
-"""
+"""Smoke tests: the narrative demos in demos/ run to completion."""
 
 import runpy
 from pathlib import Path
@@ -35,3 +31,17 @@ def test_range_gallery(tmp_path, monkeypatch, capsys):
     assert max(distances) <= VerifyConfig(resolution=480).hull_tolerance()
     written = sorted(p.name for p in (tmp_path / "gallery_out").iterdir())
     assert written == [f"random_n{n}.{ext}" for n in (2, 3, 4) for ext in ("csv", "svg")]
+
+
+def test_counterexample_sextic(tmp_path, monkeypatch, capsys):
+    run_demo("counterexample_sextic.py", tmp_path, monkeypatch)
+    out = capsys.readouterr().out
+    assert out.count("isolated=True") == 4
+    contacts = [
+        [complex(part.split("=")[1]) for part in line.split(",")]
+        for line in out.splitlines()
+        if "contact near" in line
+    ]
+    assert len(contacts) == 2
+    first, second = contacts
+    assert all(abs(a.conjugate() - b) < 1e-9 and a.imag for a, b in zip(first, second))

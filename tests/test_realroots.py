@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kippenhahn.exactnum import AlgebraicReal
 from kippenhahn.groebner import dual_curve
@@ -214,10 +216,10 @@ class TestSingularPoints:
         assert len(origin) == 1
         assert origin[0].isolated is True
 
-    def test_enclosures_shrink_under_refinement(self):
+    def test_enclosures_shrink_under_refinement(self, fermat_dual):
         # the definition check: q and its partials straddle zero over the
         # isolating box, and refining the box keeps shrinking the enclosure
-        q = dual_curve(parse_poly("x0^6 - x1^6 - x2^6", ("x0", "x1", "x2")))
+        q, _ = fermat_dual
         from kippenhahn.realroots import _chart_poly
 
         q_aff = _chart_poly(q, 0)
@@ -268,3 +270,111 @@ class TestSingularPoints:
         # out a variable, and the affine chart has no singular point
         pts = real_singular_points(parse_poly(text, VY))
         assert [(s.chart, s.y1, s.y2) for s in pts] == [("infinity", y1, y2)]
+
+
+def yq(text: str) -> MultiPoly:
+    return parse_poly(text, VY)
+
+
+def primitive(*coeffs):
+    """Integer coefficients divided by their gcd, first nonzero one positive."""
+    g = gcd(*coeffs) * (1 if next(c for c in coeffs if c) > 0 else -1)
+    return tuple(c // g for c in coeffs)
+
+
+SQRT2 = round(2**0.5, 9)
+
+
+class TestIsolation:
+    """One known verdict per route of the isolation test: the Newton polygon
+    at a rational point, the interval Hessian at an algebraic one, and a case
+    that neither decides."""
+
+    @pytest.mark.parametrize(
+        "q, expected",
+        [
+            # a node whose loops, about 1e-3 across, fit inside any 1/64 ring
+            (
+                yq("y1^2 + y2^2") ** 2
+                - yq("y0^2*y1^2 - y0^2*y2^2") * Fraction(1, 10**6),
+                [(0, 0, False)],
+            ),
+            (yq("y0^2*y2^2 + y1^4"), [(0, 0, True)]),  # A3 acnode
+            (yq("y1^4 + y1^2*y2^2 + y2^4"), [(0, 0, True)]),
+            (yq("y0^2*y2^2 - y1^4"), [(0, 0, False)]),  # tacnode
+            # the line y2 = 0 through a triple point
+            (yq("y2") * yq("y1^2 + y2^2"), [(0, 0, False)]),
+            # Hessian definite at the acnodes
+            (
+                yq("y1^2 - 2*y0^2") ** 2 + yq("y0^2*y2^2"),
+                [(-SQRT2, 0, True), (SQRT2, 0, True)],
+            ),
+            # A7 acnodes: the Hessian is singular there, so no proof decides
+            (
+                yq("y0^6*y2^2") + yq("y1^2 - 2*y0^2") ** 4,
+                [(-SQRT2, 0, None), (SQRT2, 0, None)],
+            ),
+        ],
+    )
+    def test_known_verdicts(self, q, expected):
+        pts = [s for s in real_singular_points(q) if s.chart == "affine"]
+        got = [(round(s.float_coords()[0], 9), s.float_coords()[1], s.isolated) for s in pts]
+        assert got == expected
+
+    _small = st.integers(-3, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.fractions(-2, 2, max_denominator=3),
+        st.fractions(-2, 2, max_denominator=3),
+        st.lists(st.tuples(_small, _small), max_size=3),
+        st.lists(st.tuples(st.integers(1, 3), _small, st.integers(1, 3)), max_size=2),
+        st.lists(_small, min_size=6, max_size=6),
+    )
+    def test_tangent_cone_decides(self, p1, p2, lines, quads, higher):
+        # q = y0 * (real lines and definite quadratic forms through P) + a
+        # form of one degree more in the local coordinates: P is isolated
+        # exactly when no real line passes through it
+        lines = [(a, b) for a, b in lines if a or b]
+        quads = [(a, b, c) for a, b, c in quads if b * b < 4 * a * c]
+        # distinct factors: no two lines or two quadratics proportional
+        assume(len({primitive(*f) for f in lines}) == len(lines))
+        assume(len({primitive(*f) for f in quads}) == len(quads))
+        m = len(lines) + 2 * len(quads)
+        # the whole census of a curve of degree 7 or more takes seconds
+        assume(2 <= m <= 4)
+        u, v = yq("y1") - yq("y0") * p1, yq("y2") - yq("y0") * p2
+        cone = yq("1")
+        for a, b in lines:
+            cone = cone * (u * a + v * b)
+        for a, b, c in quads:
+            cone = cone * (u * u * a + u * v * b + v * v * c)
+        tail = sum(
+            (u ** (m + 1 - k) * v**k * h for k, h in enumerate(higher[: m + 2])),
+            yq("0"),
+        )
+        q = yq("y0") * cone + tail
+        assume(q.squarefree_part().proportional_to(q))
+        at_p = [
+            s
+            for s in real_singular_points(q)
+            if s.chart == "affine" and (s.y1, s.y2) == (p1, p2)
+        ]
+        assert len(at_p) == 1
+        assert at_p[0].isolated is (not lines)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_small, _small, _small)
+    def test_hessian_signature_decides(self, a, b, c):
+        # q = Q(y1^2 - 2, y2) homogenized: near (+-sqrt 2, 0) the curve is
+        # Q(2 sqrt2 u, v) = 0 to second order, isolated iff Q is definite
+        assume(b * b != 4 * a * c)
+        x, y = yq("y1^2 - 2*y0^2"), yq("y0*y2")
+        q = x * x * a + x * y * b + y * y * c
+        pts = [
+            s
+            for s in real_singular_points(q)
+            if s.chart == "affine" and s.y2 == 0 and abs(abs(float(s.y1)) - 2**0.5) < 1e-9
+        ]
+        assert len(pts) == 2
+        assert all(s.isolated is (b * b < 4 * a * c) for s in pts)
