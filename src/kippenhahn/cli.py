@@ -13,7 +13,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,30 +39,6 @@ PANELS = ("supports", "primal-curve", "dual-curve", "kippenhahn")
 
 CONFIG_ENV = "KIPPENHAHN_CONFIG"
 CONFIG_DEFAULT_NAME = "kippenhahn.cfg"
-
-
-@dataclass
-class JobConfig:
-    """Run configuration; flags override the config file, which overrides
-    these defaults."""
-
-    resolution: int = 720
-    tol_geom: float = 1e-9
-    max_terms: int = 10_000
-    max_bits: int = 1_000_000
-    out_dir: str = "."
-
-    def validate(self):
-        if self.resolution < 3:
-            raise ParseError("resolution must be at least 3")
-        if self.tol_geom <= 0:
-            raise ParseError("tolerances must be positive")
-
-    def show(self) -> str:
-        lines = ["configuration:"]
-        for f in fields(self):
-            lines.append(f"  {f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines)
 
 
 # config-file keys (dashes read as underscores) and their value types
@@ -103,18 +79,22 @@ def _load_config_file() -> dict:
     return values
 
 
-def _build_config(args) -> JobConfig:
-    """Apply precedence flags > config file > defaults."""
-    cfg = JobConfig()
-    file_vals = _load_config_file()
+def _build_config(args) -> tuple[VerifyConfig, str]:
+    """The VerifyConfig and output directory from flags > config file >
+    defaults."""
+    values = {"out_dir": "."}
+    values.update(_load_config_file())
     for name, conv in CONFIG_FIELDS.items():
-        if name in file_vals:
-            setattr(cfg, name, file_vals[name])
         flag = getattr(args, name, None)
         if flag is not None:
-            setattr(cfg, name, conv(flag))
-    cfg.validate()
-    return cfg
+            values[name] = conv(flag)
+    out_dir = values.pop("out_dir")
+    cfg = VerifyConfig(**values)
+    if cfg.resolution < 3:
+        raise ParseError("resolution must be at least 3")
+    if cfg.tol_geom <= 0:
+        raise ParseError("tolerances must be positive")
+    return cfg, out_dir
 
 
 def _read_input(path: str) -> str:
@@ -184,7 +164,7 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    cfg = _build_config(args)
+    cfg, _ = _build_config(args)
     p = _load_curve_poly(args)
     q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
     print(q)
@@ -204,7 +184,7 @@ def cmd_singular(args) -> int:
     if getattr(args, "preset", None):
         # the preset names a convex-set example; its curve of interest for the
         # singular census is the dual curve
-        cfg = _build_config(args)
+        cfg, _ = _build_config(args)
         p = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
     try:
         pts = real_singular_points(p)
@@ -224,15 +204,9 @@ def cmd_singular(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
+    cfg, _ = _build_config(args)
     body = _load_body(args)
-    vcfg = VerifyConfig(
-        resolution=cfg.resolution,
-        tol_geom=cfg.tol_geom,
-        max_terms=cfg.max_terms,
-        max_bits=cfg.max_bits,
-    )
-    report = run_verification(body, vcfg)
+    report = run_verification(body, cfg)
     sys.stdout.write(report.format_text())
     if report.degenerate and report.passed:
         print("warning: degenerate geometry; duality checks skipped", file=sys.stderr)
@@ -241,11 +215,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    cfg = _build_config(args)
+    cfg, out_dir = _build_config(args)
     panel = args.panel
     if panel not in PANELS:
         raise ParseError(f"unknown panel {panel!r}; choose from {', '.join(PANELS)}")
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if getattr(args, "preset", None):
         body = fermat6_body()
@@ -375,8 +349,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.show_config:
-            cfg = _build_config(args)
-            print(cfg.show())
+            cfg, out_dir = _build_config(args)
+            print("configuration:")
+            for f in fields(cfg):
+                print(f"  {f.name} = {getattr(cfg, f.name)}")
+            print(f"  out_dir = {out_dir}")
             return 0
         if not getattr(args, "command", None):
             ap.print_help()

@@ -247,11 +247,10 @@ class OracleBody:
         return self.curve_poly.evaluate((one, b1, b2))
 
     def restriction_poly(self, e, direction):
-        coeffs = self.curve_poly.restrict_line(
-            (Fraction(e[0]), Fraction(e[1])),
-            (Fraction(direction[0]), Fraction(direction[1])),
-        )
-        return UniPoly(coeffs), None
+        """curve_poly(1, e1 + d1*T, e2 + d2*T) as a UniPoly in T."""
+        T = UniPoly([0, 1])
+        point = (UniPoly([1]), e[0] + direction[0] * T, e[1] + direction[1] * T)
+        return self.curve_poly.evaluate(point), None
 
     def is_degenerate(self, samples: int = 64, tol: float = GEOM_TOL) -> bool:
         return False

@@ -68,8 +68,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -520,6 +520,24 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
+    @staticmethod
+    def interpolate(xs, ys) -> "UniPoly":
+        """The polynomial of degree < len(xs) through the points
+        (xs[k], ys[k]), by Newton divided differences."""
+        xs = list(xs)
+        c = [Fraction(y) for y in ys]
+        m = len(xs)
+        for j in range(1, m):
+            for k in range(m - 1, j - 1, -1):
+                c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
+        # expand the Newton form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)) from inside
+        out = [Fraction(0)] * m
+        for k in range(m - 1, -1, -1):
+            for i in range(m - 1, 0, -1):
+                out[i] = out[i - 1] - xs[k] * out[i]
+            out[0] = c[k] - xs[k] * out[0]
+        return UniPoly(out)
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -638,6 +656,24 @@ class UniPoly:
         if a.is_zero:
             return a
         return a.primitive()
+
+    def resultant(self, other: "UniPoly") -> Fraction:
+        """Sylvester resultant, by Euclid's remainder sequence over Q:
+        res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r) for
+        r = a mod b, and res(a, c) = c^deg a for a constant c."""
+        a, b = self, other
+        if a.is_zero or b.is_zero:
+            return Fraction(0)
+        out = Fraction(1)
+        while b.degree > 0:
+            r = a.divmod(b)[1]
+            if r.is_zero:
+                return Fraction(0)
+            if a.degree * b.degree % 2:
+                out = -out
+            out *= b.coeffs[-1] ** (a.degree - r.degree)
+            a, b = b, r
+        return out * b.coeffs[-1] ** a.degree
 
     def squarefree_part(self) -> "UniPoly":
         if self.is_zero:

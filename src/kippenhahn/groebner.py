@@ -398,11 +398,16 @@ def dual_curve(
     """Equation of the dual curve of {p = 0} in the dual projective plane.
 
     Eliminates the primal variables from the tangency ideal
-    {p, dp/dx0 - y0, dp/dx1 - y1, dp/dx2 - y2}; the result is returned as its
-    squarefree part, normalized to coprime integer coefficients with positive
-    leading coefficient.  Requires homogeneous squarefree p of degree >= 2 in
-    three variables; raises NonPrincipalIdealError when the elimination ideal
-    is generated by more than one element.
+    {p, dp/dx0 - y0, dp/dx1 - y1, dp/dx2 - y2}; the result is normalized to
+    coprime integer coefficients with positive leading coefficient.  Requires
+    homogeneous squarefree p of degree >= 2 in three variables; raises
+    NonPrincipalIdealError when the elimination ideal is generated by more
+    than one element.
+
+    The generator needs no squarefree step: Q[x, y]/(p, grad p - y) is
+    isomorphic to Q[x]/(p), which is reduced for squarefree p, so the
+    elimination ideal (the kernel of Q[y] into that ring) is radical and its
+    principal generator squarefree.
     """
     if len(p.variables) != 3:
         raise ValueError("dual_curve expects a trivariate polynomial")
@@ -439,7 +444,7 @@ def dual_curve(
         {e[3:]: c for e, c in q6.terms.items()},
         grevlex_order(3),
     )
-    q = q.squarefree_part().normalized()
+    q = q.normalized()
     if q.homogeneous_degree() is None:
         raise RuntimeError("dual curve polynomial is not homogeneous")
     return q

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import GaussianRational, ParseError, parse_gaussian
+from .exactnum import GaussianRational, ParseError, UniPoly, parse_gaussian
 from .mpoly import MultiPoly, grevlex_order
 
 __all__ = [
@@ -231,24 +231,6 @@ def _gaussian_det(rows) -> GaussianRational:
     return det
 
 
-def _interpolate(xs, ys) -> list[Fraction]:
-    """Ascending coefficients of the polynomial of degree < len(xs) through
-    the points (xs[k], ys[k]), by Newton divided differences."""
-    xs = list(xs)
-    c = [Fraction(y) for y in ys]
-    m = len(xs)
-    for j in range(1, m):
-        for k in range(m - 1, j - 1, -1):
-            c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
-    # expand the Newton form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)) from inside
-    out = [Fraction(0)] * m
-    for k in range(m - 1, -1, -1):
-        for i in range(m - 1, 0, -1):
-            out[i] = out[i - 1] - xs[k] * out[i]
-        out[0] = c[k] - xs[k] * out[0]
-    return out
-
-
 def _line_points(A, B):
     """The n + 1 matrices A + sB at s = 0..n, by repeated addition of B."""
     M = A
@@ -258,15 +240,15 @@ def _line_points(A, B):
         yield M
 
 
-def _det_coeffs(A, B) -> list[Fraction]:
-    """Ascending coefficients, n + 1 of them, of det(A + sB) for n x n rows."""
+def _det_poly(A, B) -> UniPoly:
+    """det(A + sB) for n x n rows, interpolated from its values at s = 0..n."""
     ys = []
     for M in _line_points(A, B):
         d = _gaussian_det(M)
         if d.im:
             raise ValueError(f"sampled determinant is not real: {d}")
         ys.append(d.re)
-    return _interpolate(range(len(ys)), ys)
+    return UniPoly.interpolate(range(len(ys)), ys)
 
 
 def pencil_det(P: HermitianPencil, variables=("x0", "x1", "x2")) -> MultiPoly:
@@ -279,10 +261,12 @@ def pencil_det(P: HermitianPencil, variables=("x0", "x1", "x2")) -> MultiPoly:
     """
     n = P.n
     ident = HermitianMatrix.identity(n).entries
-    in_x0 = [_det_coeffs(M, ident) for M in _line_points(P.K.entries, P.L.entries)]
+    # det(M + x0*1) is monic of degree n in x0: every row has n + 1 coefficients
+    in_x0 = [_det_poly(M, ident).coeffs for M in _line_points(P.K.entries, P.L.entries)]
     terms = {}
     for a in range(n + 1):
-        for b, c in enumerate(_interpolate(range(n + 1), [row[a] for row in in_x0])):
+        column = [row[a] for row in in_x0]
+        for b, c in enumerate(UniPoly.interpolate(range(n + 1), column).coeffs):
             if not c:
                 continue
             if a + b > n:
@@ -295,10 +279,7 @@ def det_along_line(A: HermitianMatrix, B: HermitianMatrix):
     """Exact coefficients (ascending) of det(A + t B) as a polynomial in t."""
     if A.n != B.n:
         raise ValueError("size mismatch")
-    coeffs = _det_coeffs(A.entries, B.entries)
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+    return _det_poly(A.entries, B.entries).coeffs or (Fraction(0),)
 
 
 # --- floating eigensolver ----------------------------------------------------

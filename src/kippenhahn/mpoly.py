@@ -413,38 +413,6 @@ class MultiPoly:
             d: MultiPoly(self.variables, t, self.order) for d, t in buckets.items()
         }
 
-    def restrict_line(self, base, direction):
-        """Ascending coefficients in t of f(1, base1 + t*d1, base2 + t*d2).
-
-        ``self`` must be trivariate homogeneous-or-not; the substitution uses
-        the affine chart first-variable = 1.  Returns a tuple of Fractions.
-        """
-        if len(self.variables) != 3:
-            raise ValueError("restrict_line expects a trivariate polynomial")
-        b1, b2 = (Fraction(v) for v in base)
-        d1, d2 = (Fraction(v) for v in direction)
-        if not d1 and not d2:
-            raise ValueError("zero direction")
-        out = {}
-        for (e0, e1, e2), c in self.terms.items():
-            # expand (b1 + t d1)^e1 (b2 + t d2)^e2 via binomial convolution
-            part = {0: c}
-            for deg, b, d in ((e1, b1, d1), (e2, b2, d2)):
-                for _ in range(deg):
-                    nxt = {}
-                    for k, v in part.items():
-                        if b:
-                            nxt[k] = nxt.get(k, Fraction(0)) + v * b
-                        if d:
-                            nxt[k + 1] = nxt.get(k + 1, Fraction(0)) + v * d
-                    part = nxt
-            for k, v in part.items():
-                out[k] = out.get(k, Fraction(0)) + v
-        if not out:
-            return (Fraction(0),)
-        top = max(out)
-        return tuple(out.get(k, Fraction(0)) for k in range(top + 1))
-
     # -- gcd / squarefree ---------------------------------------------------
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":

@@ -1,8 +1,8 @@
 """Exact univariate real-root isolation on the Sturm chain of ``exactnum``,
 returning each root as an ``AlgebraicReal``; Sylvester resultants of
-bivariate ``MultiPoly`` systems, computed fraction-free (Bareiss) over Z[t]
-lists that never leave ``resultant``; and the real singular points of plane
-curves.
+bivariate ``MultiPoly`` systems, sampled at integers, taken with
+``UniPoly.resultant`` and interpolated with ``UniPoly.interpolate``; and the
+real singular points of plane curves.
 """
 
 from __future__ import annotations
@@ -117,87 +117,6 @@ def roots_all_real(f: UniPoly) -> bool:
 
 
 # --- Sylvester resultants ----------------------------------------------------
-#
-# Entries of the Sylvester matrix are integer univariate polynomials in the
-# surviving variable; the determinant is computed fraction-free (Bareiss).
-
-
-def _zp_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _zp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _zp_trim(out)
-
-
-def _zp_sub(a, b):
-    n = max(len(a), len(b))
-    return _zp_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _zp_divexact(a, b):
-    """Exact division in Z[t]; raises when the division leaves a remainder."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return []
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    lb = b[-1]
-    while len(r) >= len(b) and r:
-        if not r[-1]:
-            r.pop()
-            continue
-        if r[-1] % lb:
-            raise ValueError("inexact division")
-        f = r[-1] // lb
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
-        r.pop()
-    if _zp_trim(r):
-        raise ValueError("inexact division")
-    return _zp_trim(q)
-
-
-def _bareiss_det(mat):
-    """Fraction-free determinant of a square matrix of integer polynomials."""
-    n = len(mat)
-    if n == 0:
-        return [1]
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return []
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _zp_sub(_zp_mul(m[k][k], m[i][j]), _zp_mul(m[i][k], m[k][j]))
-                m[i][j] = _zp_divexact(num, prev) if num else []
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = [-c for c in det]
-    return det
 
 
 def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
@@ -206,7 +125,15 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
     ``eliminate`` is the variable index removed; the result is a univariate
     polynomial in the other variable.  It vanishes at a value of the surviving
     variable iff f and g share a root above it (over the complex numbers) or
-    both leading coefficients vanish there.
+    both leading coefficients vanish there.  The inputs are first normalized
+    to coprime integer coefficients.
+
+    Evaluation and interpolation (Collins): at the integers t = 0, 1, 2, ...
+    where neither leading coefficient in the eliminated variable vanishes,
+    res(f, g)(t) is the resultant of the specialized univariate polynomials.
+    Its degree is at most df*deg_t g + dg*deg_t f, and, from the degree
+    weights of the Sylvester matrix entries, at most l*dg + m*df - df*dg for
+    total degrees l, m and degrees df, dg in the eliminated variable.
     """
     if f.variables != g.variables or len(f.variables) != 2:
         raise ValueError("resultant expects two polynomials in the same 2 variables")
@@ -214,36 +141,27 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
         raise ValueError("resultant of the zero polynomial")
     keep = 1 - eliminate
 
-    def rows(p: MultiPoly):
-        d = p.degree_in(eliminate)
-        cs = []
-        for k in range(d + 1):
-            coeff = [0] * (p.degree_in(keep) + 1)
-            for exp, c in p.terms.items():
-                if exp[eliminate] == k:
-                    coeff[exp[keep]] += int(c)
-            cs.append(_zp_trim(coeff))
-        return d, cs
+    def columns(p: MultiPoly) -> list[UniPoly]:
+        """Coefficients of p in the eliminated variable, as UniPolys in t."""
+        cs = [[0] * (p.degree_in(keep) + 1) for _ in range(p.degree_in(eliminate) + 1)]
+        for exp, c in p.normalized().terms.items():
+            cs[exp[eliminate]][exp[keep]] = c
+        return [UniPoly(c) for c in cs]
 
-    fi = f.normalized()
-    gi = g.normalized()
-    df, fc = rows(fi)
-    dg, gc = rows(gi)
-    if df == 0 and dg == 0:
-        return UniPoly([1])
-    if df == 0:
-        return UniPoly([Fraction(c) for c in fc[0]]) ** dg if dg else UniPoly([1])
-    if dg == 0:
-        return UniPoly([Fraction(c) for c in gc[0]]) ** df
-    n = df + dg
-    mat = []
-    for cs, d, copies in ((fc, df, dg), (gc, dg, df)):
-        for i in range(copies):
-            row = [[] for _ in range(n)]
-            for k, c in enumerate(cs):
-                row[i + d - k] = c
-            mat.append(row)
-    return UniPoly(_bareiss_det(mat))
+    fc, gc = columns(f), columns(g)
+    df, dg = len(fc) - 1, len(gc) - 1
+    bound = min(
+        df * g.degree_in(keep) + dg * f.degree_in(keep),
+        f.total_degree * dg + g.total_degree * df - df * dg,
+    )
+    xs, ys = [], []
+    t = 0
+    while len(xs) <= bound:
+        if fc[-1](t) and gc[-1](t):
+            xs.append(t)
+            ys.append(UniPoly([c(t) for c in fc]).resultant(UniPoly([c(t) for c in gc])))
+        t += 1
+    return UniPoly.interpolate(xs, ys)
 
 
 # --- real singular points ----------------------------------------------------

@@ -179,12 +179,25 @@ class TestVerify:
         assert "DEGENERATE" in capsys.readouterr().out
 
 
+SHOW_CONFIG_DEFAULTS = (
+    "configuration:\n"
+    "  resolution = 720\n"
+    "  tol_geom = 1e-09\n"
+    "  max_terms = 10000\n"
+    "  max_bits = 1000000\n"
+    "  lemma_samples = 200\n"
+    "  obs2_lines = 100\n"
+    "  seed = 20230114\n"
+    "  out_dir = .\n"
+)
+
+
 class TestShowConfig:
     def test_defaults(self, capsys):
+        # every VerifyConfig field that verify runs with, then the CLI-only
+        # output directory
         assert main(["--show-config"]) == 0
-        out = capsys.readouterr().out
-        assert "resolution = 720" in out
-        assert "tol_geom = 1e-09" in out
+        assert capsys.readouterr().out == SHOW_CONFIG_DEFAULTS
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "kippenhahn.cfg"

@@ -359,6 +359,28 @@ class TestTangency:
         assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
 
 
+class TestRestrictionPoly:
+    def test_parabola_axis(self):
+        body = OracleBody(None, parse_poly("x0^2 + x0*x2 - x1^2", V3))
+        f, _ = body.restriction_poly((0, 0), (0, 1))
+        # restriction along the x2-axis: 1 + t, root at t = -1
+        assert f.coeffs == (Fraction(1), Fraction(1))
+
+    def test_fermat_x1_axis(self):
+        f, _ = fermat6_body().restriction_poly((0, 0), (1, 0))
+        assert f.coeffs == (Fraction(1), 0, 0, 0, 0, 0, Fraction(-1))
+
+    def test_constant_direction(self):
+        body = OracleBody(None, parse_poly("x0^2 + x0*x2 - x1^2", V3))
+        f, _ = body.restriction_poly((2, 5), (0, 1))
+        # f(1, 2, 5 + t) = 1 + 5 + t - 4 = 2 + t
+        assert f.coeffs == (Fraction(2), Fraction(1))
+
+    def test_zero_direction(self):
+        with pytest.raises(ValueError, match="zero direction"):
+            line_curve_real_check(fermat6_body(), (0, 0), (0, 0))
+
+
 class TestOracleBody:
     def test_membership_polynomial(self):
         body = fermat6_body()

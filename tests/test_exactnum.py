@@ -244,6 +244,28 @@ class TestUniPolyGcd:
         assert _monic(ours.coeffs) == _monic(reversed(ref.all_coeffs()))
 
 
+class TestUniPolyResultant:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_root, max_size=1), _cofactor, _cofactor, st.lists(_root, max_size=2))
+    def test_resultant_matches_sympy(self, common, cf, cg, only_g):
+        # a shared root gives 0; one-entry cofactors give constant sides
+        f = _build(common, cf)
+        g = _build(common + only_g, cg)
+        # sympy 1.14 returns res(g, f) when deg f < deg g: ask with the
+        # higher degree first and restore the sign (-1)^(deg f * deg g)
+        m, n = UniPoly(f).degree, UniPoly(g).degree
+        if m < n:
+            ref = (-1) ** (m * n) * _sympy_poly(g).resultant(_sympy_poly(f))
+        else:
+            ref = _sympy_poly(f).resultant(_sympy_poly(g))
+        assert UniPoly(f).resultant(UniPoly(g)) == Fraction(int(ref))
+
+    def test_interpolate_recovers_polynomial(self):
+        f = UniPoly([3, 0, Fraction(-1, 2), 5])
+        xs = [0, 2, 3, 7]
+        assert UniPoly.interpolate(xs, [f(x) for x in xs]) == f
+
+
 class TestSimplestInInterval:
     def test_examples(self):
         assert simplest_in_interval(Fraction(14, 10), Fraction(15, 10)) == Fraction(3, 2)

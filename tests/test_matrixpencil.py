@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from kippenhahn import matrixpencil
-from kippenhahn.exactnum import GaussianRational, ParseError
+from kippenhahn.exactnum import GaussianRational, ParseError, UniPoly
 from kippenhahn.matrixpencil import (
     EigenError,
     HermitianMatrix,
@@ -142,7 +142,7 @@ class TestPencilDet:
             with pytest.raises(ValueError, match="not real"):
                 pencil_det(P)
         with monkeypatch.context() as m:
-            m.setattr(matrixpencil, "_interpolate", lambda xs, ys: [Fraction(1)] * len(ys))
+            m.setattr(UniPoly, "interpolate", staticmethod(lambda xs, ys: UniPoly([1] * len(ys))))
             with pytest.raises(ValueError, match="not homogeneous"):
                 pencil_det(P)
 

@@ -202,28 +202,6 @@ class TestSquarefree:
             assert g.total_degree == 0
 
 
-class TestRestrictLine:
-    def test_parabola_axis(self):
-        p = parse_poly("x0^2 + x0*x2 - x1^2", V3)
-        coeffs = p.restrict_line((0, 0), (0, 1))
-        # restriction along the x2-axis: 1 + t, root at t = -1
-        assert coeffs == (Fraction(1), Fraction(1))
-
-    def test_fermat_x1_axis(self):
-        coeffs = fermat().restrict_line((0, 0), (1, 0))
-        assert coeffs == (Fraction(1), 0, 0, 0, 0, 0, Fraction(-1))
-
-    def test_constant_direction(self):
-        p = parse_poly("x0^2 + x0*x2 - x1^2", V3)
-        coeffs = p.restrict_line((2, 5), (0, 1))
-        # f(1, 2, 5 + t) = 1 + 5 + t - 4 = 2 + t
-        assert coeffs == (Fraction(2), Fraction(1))
-
-    def test_zero_direction(self):
-        with pytest.raises(ValueError):
-            fermat().restrict_line((0, 0), (0, 0))
-
-
 class TestOrders:
     def test_grevlex_degree_first(self):
         order = grevlex_order(3)

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from kippenhahn.realroots import (
 
 V2 = ("a", "b")
 VY = ("y0", "y1", "y2")
+SYM2 = sympy.symbols("a b")
 
 
 def sqrt_bounds(n: int, scale: int = 10**12):
@@ -161,6 +163,56 @@ class TestResultant:
         f = common * parse_poly("a + 2", V2)
         g = common * parse_poly("b - 3", V2)
         assert resultant(f, g, eliminate=0).is_zero
+
+
+_small_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def _eliminable(draw, z, t):
+    """An integer polynomial of degree 0..3 in z whose leading coefficient in
+    z is a polynomial in t times a subset of t, t - 1, t - 2, so that the
+    resultant's samples at those integers must be skipped."""
+    d = draw(st.integers(0, 3))
+    lead = sum(c * t**j for j, c in enumerate(draw(_small_poly.filter(any))))
+    for r in draw(st.sets(st.sampled_from([0, 1, 2]))):
+        lead = lead * (t - r)
+    p = lead * z**d
+    for k in range(d):
+        p = p + sum(c * t**j for j, c in enumerate(draw(_small_poly))) * z**k
+    return p
+
+
+def _sympy_resultant(f, g, z):
+    """res_z(f, g) from sympy.  sympy 1.14 returns res(g, f) when deg f <
+    deg g, so ask with the higher degree first and restore the sign
+    (-1)^(deg f * deg g)."""
+    m, n = sympy.degree(f, z), sympy.degree(g, z)
+    if m < n:
+        return (-1) ** (m * n) * sympy.resultant(g, f, z)
+    return sympy.resultant(f, g, z)
+
+
+class TestResultantMatchesSympy:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_bivariate(self, data):
+        eliminate = data.draw(st.integers(0, 1))
+        z = MultiPoly.variable(V2, eliminate)
+        t = MultiPoly.variable(V2, 1 - eliminate)
+        f = data.draw(_eliminable(z, t))
+        g = data.draw(_eliminable(z, t))
+        if data.draw(st.booleans()):
+            # a shared factor of positive degree in z: the resultant is 0
+            common = z - t - data.draw(st.integers(-2, 2))
+            f, g = f * common, g * common
+        fs, gs = (
+            sum(int(c) * SYM2[0] ** i * SYM2[1] ** j for (i, j), c in p.normalized().terms.items())
+            for p in (f, g)
+        )
+        ref = sympy.Poly(_sympy_resultant(fs, gs, SYM2[eliminate]), SYM2[1 - eliminate])
+        expected = UniPoly([int(c) for c in reversed(ref.all_coeffs())])
+        assert resultant(f, g, eliminate) == expected
 
 
 class TestSingularPoints:
