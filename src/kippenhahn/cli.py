@@ -29,6 +29,7 @@ from .realroots import (
 from .convexgeom import (
     PencilBody,
     VerifyConfig,
+    _support_sweep,
     fermat6_body,
     run_verification,
     sample_kippenhahn_curve,
@@ -288,13 +289,8 @@ def cmd_plot(args) -> int:
 
 
 def _curve_extent(body) -> float:
-    import math
-
-    worst = 0.0
-    for j in range(64):
-        theta = 2 * math.pi * j / 64
-        worst = max(worst, abs(body.support(math.cos(theta), math.sin(theta))))
-    return 2.5 * worst + 0.25
+    _, hs = _support_sweep(body, 64)
+    return 2.5 * max(abs(h) for h in hs) + 0.25
 
 
 def build_parser() -> argparse.ArgumentParser:

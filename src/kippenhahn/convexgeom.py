@@ -24,7 +24,9 @@ from .exactnum import (
 )
 from .mpoly import MultiPoly, parse_poly
 from .matrixpencil import (
+    GEOM_TOL,
     HermitianPencil,
+    _direction_stack,
     _direction_sweep,
     det_along_line,
     pencil_det,
@@ -58,7 +60,6 @@ __all__ = [
     "VerifyConfig",
 ]
 
-GEOM_TOL = 1e-9
 # the hull_hausdorff tolerance is HULL_CONSTANT / resolution^2
 HULL_CONSTANT = 24.0  # calibrated on the n = 2 ellipse case
 
@@ -201,7 +202,7 @@ class PencilBody:
         """Exact det((1 + e.K+L) + t (d.K+L)) along the affine line e + t d."""
         A = self.pencil.combine_exact(Fraction(e[0]), Fraction(e[1]), shift=1)
         B = self.pencil.combine_exact(Fraction(direction[0]), Fraction(direction[1]))
-        return UniPoly(det_along_line(A, B)), B
+        return UniPoly(det_along_line(A, B))
 
     def is_degenerate(self, samples: int = 64, tol: float = GEOM_TOL) -> bool:
         """True when the numerical range has empty interior (point or segment)."""
@@ -246,11 +247,11 @@ class OracleBody:
         one = RationalInterval.point(Fraction(1))
         return self.curve_poly.evaluate((one, b1, b2))
 
-    def restriction_poly(self, e, direction):
+    def restriction_poly(self, e, direction) -> UniPoly:
         """curve_poly(1, e1 + d1*T, e2 + d2*T) as a UniPoly in T."""
         T = UniPoly([0, 1])
         point = (UniPoly([1]), e[0] + direction[0] * T, e[1] + direction[1] * T)
-        return self.curve_poly.evaluate(point), None
+        return self.curve_poly.evaluate(point)
 
     def is_degenerate(self, samples: int = 64, tol: float = GEOM_TOL) -> bool:
         return False
@@ -305,6 +306,16 @@ def _refine_minimum(f, a, b, iters: int = 60):
     return xm, f(xm)
 
 
+def _support_sweep(body, m: int) -> tuple[list[float], list[float]]:
+    """The angles theta_j = 2 pi j / m and the support values h(theta_j): for
+    a pencil one stacked ``eigvalsh`` call, bit for bit ``support_function``."""
+    if body.pencil is None:
+        thetas = [2.0 * math.pi * j / m for j in range(m)]
+        return thetas, [body.support(math.cos(t), math.sin(t)) for t in thetas]
+    thetas, stack = _direction_stack(body.pencil, m)
+    return thetas, np.linalg.eigvalsh(stack)[:, 0].tolist()
+
+
 def point_outside_W(body, y, tol: float = GEOM_TOL, ndirs: int = 96) -> OutsideResult:
     """Decide whether y lies outside the convex set via supporting lines.
 
@@ -319,8 +330,8 @@ def point_outside_W(body, y, tol: float = GEOM_TOL, ndirs: int = 96) -> OutsideR
         c, s = math.cos(theta), math.sin(theta)
         return c * y1 + s * y2 - body.support(c, s)
 
-    thetas = [2.0 * math.pi * j / ndirs for j in range(ndirs)]
-    vals = [gap(t) for t in thetas]
+    thetas, hs = _support_sweep(body, ndirs)
+    vals = [math.cos(t) * y1 + math.sin(t) * y2 - h for t, h in zip(thetas, hs)]
     best_theta, best_val = None, math.inf
     for j in range(ndirs):
         prev = vals[(j - 1) % ndirs]
@@ -427,7 +438,7 @@ class LineRealResult:
     restriction: UniPoly
 
 
-def line_curve_real_check(body, e, direction, strict_tol: float = GEOM_TOL) -> LineRealResult:
+def line_curve_real_check(body, e, direction) -> LineRealResult:
     """Certify that a rational line through the interior of S meets D only in
     real points (or exhibit the failure).
 
@@ -440,7 +451,7 @@ def line_curve_real_check(body, e, direction, strict_tol: float = GEOM_TOL) -> L
         raise ValueError("zero direction")
     if not body.interior_exact(*e):
         raise ValueError("base point is not strictly interior to S")
-    f, B = body.restriction_poly(e, direction)
+    f = body.restriction_poly(e, direction)
     if f.is_zero:
         raise ValueError("line lies inside the curve")
     expected = None
@@ -670,14 +681,6 @@ def _polar_line_param(point_coords, eps):
     return Pp, Qq, gen, w_iv
 
 
-def _t_coefficients(g: MultiPoly) -> list[UniPoly]:
-    """Coefficients of g(w, t) in t, ascending, each a UniPoly in w."""
-    rows = [[0] * (g.degree_in(0) + 1) for _ in range(g.degree_in(1) + 1)]
-    for (i, j), c in g.terms.items():
-        rows[j][i] = c
-    return [UniPoly(r) for r in rows]
-
-
 def _horner(coeffs, t: ComplexInterval) -> ComplexInterval:
     acc = ComplexInterval(RationalInterval.point(0))
     for c in reversed(coeffs):
@@ -705,7 +708,7 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
         return MultiPoly(wt, {(i, 0): c for i, c in enumerate(f.coeffs)})
 
     g = p.normalized().evaluate([lift(Pp[i]) + t * lift(Qq[i]) for i in range(3)])
-    while g.degree_in(1) > 0 and gen.is_root_of(_t_coefficients(g)[-1]):
+    while g.degree_in(1) > 0 and gen.is_root_of(g.coefficients(1)[-1]):
         top = g.degree_in(1)
         g = MultiPoly(wt, {e: c for e, c in g.terms.items() if e[1] < top})
     if g.degree_in(1) <= 0:
@@ -718,14 +721,14 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
 
     # interval coefficients in t, each enclosing its w-polynomial over w_iv
     g_iv, gp_iv, gpp_iv = (
-        [ComplexInterval(_enclose(c, w_iv)) for c in _t_coefficients(h)]
+        [ComplexInterval(_enclose(c, w_iv)) for c in h.coefficients(1)]
         for h in (g, gp, gp.diff(1))
     )
 
     # localize critical points of g numerically, certify by interval Newton
     wf = float(w_iv.mid)
     gp_float = [
-        sum(c * wf**i for i, c in enumerate(wp.coeffs)) for wp in _t_coefficients(gp)
+        sum(c * wf**i for i, c in enumerate(wp.coeffs)) for wp in gp.coefficients(1)
     ]
     roots = np.roots(list(reversed(gp_float))) if len(gp_float) > 1 else []
     boxes = []
@@ -1084,9 +1087,5 @@ def _add_unchecked(report: VerificationReport):
 
 def _body_extent(body) -> float:
     """A box half-width comfortably containing the convex set."""
-    worst = 0.0
-    for j in range(32):
-        theta = 2.0 * math.pi * j / 32
-        h = body.support(math.cos(theta), math.sin(theta))
-        worst = max(worst, abs(h))
-    return 1.5 * worst + 0.5
+    _, hs = _support_sweep(body, 32)
+    return 1.5 * max(abs(h) for h in hs) + 0.5

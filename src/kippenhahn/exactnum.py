@@ -91,10 +91,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def __add__(self, other):
         other = _coerce_gaussian(other)
         if other is NotImplemented:

@@ -187,7 +187,8 @@ class HermitianPencil:
             cache["L"] = self.L.to_complex_array()
         return cache["K"], cache["L"]
 
-    def combine_float(self, x1: float, x2: float) -> np.ndarray:
+    def combine_float(self, x1, x2) -> np.ndarray:
+        """x1 K + x2 L in floats; (m, 1, 1) arrays x1, x2 give the (m, n, n) stack."""
         Kf, Lf = self._floats()
         return x1 * Kf + x2 * Lf
 
@@ -335,6 +336,15 @@ def support_function(P: HermitianPencil, x) -> float:
     return float(np.linalg.eigvalsh(P.combine_float(x1, x2))[0])
 
 
+def _direction_stack(P: HermitianPencil, m: int):
+    """The angles theta_j = 2 pi j / m and the (m, n, n) stack of
+    ``combine_float`` at (cos theta_j, sin theta_j)."""
+    thetas = [2.0 * math.pi * j / m for j in range(m)]
+    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
+    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
+    return thetas, P.combine_float(cos, sin)
+
+
 def _direction_sweep(P: HermitianPencil, m: int):
     """Spectra of cos(theta_j) K + sin(theta_j) L at theta_j = 2 pi j / m.
 
@@ -344,11 +354,9 @@ def _direction_sweep(P: HermitianPencil, m: int):
     """
     if m < 3:
         raise ValueError("need at least 3 directions")
+    thetas, stack = _direction_stack(P, m)
+    vals, V = np.linalg.eigh(stack)
     Kf, Lf = P._floats()
-    thetas = [2.0 * math.pi * j / m for j in range(m)]
-    cos = np.array([math.cos(t) for t in thetas])[:, None, None]
-    sin = np.array([math.sin(t) for t in thetas])[:, None, None]
-    vals, V = np.linalg.eigh(cos * Kf + sin * Lf)
     images = np.stack(
         [np.einsum("mjk,mjk->mk", V.conj(), F @ V).real for F in (Kf, Lf)], axis=-1
     )

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from math import gcd, inf
 
-from .exactnum import ParseError
+from .exactnum import ParseError, UniPoly
 
 __all__ = [
     "MonomialOrder",
@@ -412,6 +412,17 @@ class MultiPoly:
         return {
             d: MultiPoly(self.variables, t, self.order) for d, t in buckets.items()
         }
+
+    def coefficients(self, var: int) -> list[UniPoly]:
+        """Coefficients of a bivariate polynomial in ascending powers of ``var``,
+        each a UniPoly in the other variable; one zero column for zero."""
+        if len(self.variables) != 2:
+            raise ValueError("coefficients expects a bivariate polynomial")
+        other = 1 - var
+        cols = [[0] * (self.degree_in(other) + 1) for _ in range(self.degree_in(var) + 1)]
+        for exp, c in self.terms.items():
+            cols[exp[var]][exp[other]] = c
+        return [UniPoly(c) for c in cols] or [UniPoly([])]
 
     # -- gcd / squarefree ---------------------------------------------------
 

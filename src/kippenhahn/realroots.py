@@ -140,15 +140,7 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial")
     keep = 1 - eliminate
-
-    def columns(p: MultiPoly) -> list[UniPoly]:
-        """Coefficients of p in the eliminated variable, as UniPolys in t."""
-        cs = [[0] * (p.degree_in(keep) + 1) for _ in range(p.degree_in(eliminate) + 1)]
-        for exp, c in p.normalized().terms.items():
-            cs[exp[eliminate]][exp[keep]] = c
-        return [UniPoly(c) for c in cs]
-
-    fc, gc = columns(f), columns(g)
+    fc, gc = f.normalized().coefficients(eliminate), g.normalized().coefficients(eliminate)
     df, dg = len(fc) - 1, len(gc) - 1
     bound = min(
         df * g.degree_in(keep) + dg * f.degree_in(keep),
@@ -217,16 +209,6 @@ def _chart_poly(q: MultiPoly, chart: int) -> MultiPoly:
     return MultiPoly(names, terms, grevlex_order(2))
 
 
-def _substitute_zero(f: MultiPoly, var: int) -> UniPoly:
-    """f with variable ``var`` set to 0, as a UniPoly in the other variable."""
-    keep = 1 - var
-    out = [Fraction(0)] * (f.degree_in(keep) + 1 if not f.is_zero else 1)
-    for exp, c in f.terms.items():
-        if exp[var] == 0:
-            out[exp[keep]] += c
-    return UniPoly(out)
-
-
 def _poly_gcd_many(polys: list[UniPoly]) -> UniPoly:
     g = None
     for p in polys:
@@ -249,13 +231,19 @@ def _rationalize_root(root: AlgebraicReal, eps) -> object:
     return AlgebraicReal(root.poly, iv)
 
 
-def _candidate_coordinates(system, var: int, eps):
-    """Candidate values for coordinate ``var`` of common zeros, off the axes.
+def _common_line_roots(restrictions: list[UniPoly], eps) -> list:
+    """Common real roots of polynomials restricted to a line, each a Fraction
+    or an ``AlgebraicReal``: the roots of their gcd, isolated by Sturm.  They
+    are exact common zeros and need no further verification."""
+    g = _poly_gcd_many(restrictions)
+    if g.degree <= 0:
+        return []
+    return [_rationalize_root(r, eps) for r in sturm_isolate(g)]
 
-    ``system`` is the monomial-stripped, exponent-compressed system together
-    with the strides used for compression.
-    """
-    polys, strides = system
+
+def _candidate_coordinates(polys, strides, var: int, eps):
+    """Candidate values for coordinate ``var`` of common zeros, off the axes,
+    of the monomial-stripped system ``polys`` compressed by ``strides``."""
     pairs = [(1, 2), (0, 1), (0, 2)]
     res = None
     for i, j in pairs:
@@ -268,16 +256,14 @@ def _candidate_coordinates(system, var: int, eps):
             res = r
             # guard against fibers escaping where both leading coefficients
             # vanish: append their shared roots
-            lc_i = polys[i].univariate_in(1 - var).get(polys[i].degree_in(1 - var))
-            lc_j = polys[j].univariate_in(1 - var).get(polys[j].degree_in(1 - var))
-            extra = _substitute_zero(lc_i, 1 - var).gcd(_substitute_zero(lc_j, 1 - var))
+            extra = polys[i].coefficients(1 - var)[-1].gcd(polys[j].coefficients(1 - var)[-1])
             if extra.degree > 0:
                 res = res * extra
             break
     if res is None and all(p.degree_in(1 - var) <= 0 for p in polys):
         # no equation involves the eliminated variable: the common zeros lie
         # above the roots of their gcd
-        res = _poly_gcd_many([_substitute_zero(p, 1 - var) for p in polys])
+        res = _poly_gcd_many([p.coefficients(1 - var)[0] for p in polys])
         if res.degree <= 0:
             return []
     if res is None:
@@ -291,19 +277,17 @@ def _candidate_coordinates(system, var: int, eps):
 
 
 def _verify_box(system_polys, c1, c2, eps) -> bool:
-    """Certify a candidate point: exact for rational pairs, interval otherwise."""
-    if isinstance(c1, Fraction) and isinstance(c2, Fraction):
-        return all(p.evaluate((c1, c2)) == 0 for p in system_polys)
-    box = (_coord_interval(c1, eps), _coord_interval(c2, eps))
-    values = [p.evaluate(box) for p in system_polys]
-    if not all(
-        isinstance(v, RationalInterval) and v.contains_zero() for v in values
-    ):
-        return False
-    # second refinement pass guards against coincidental straddles
-    box2 = (_coord_interval(c1, eps * eps), _coord_interval(c2, eps * eps))
-    values2 = [p.evaluate(box2) for p in system_polys]
-    return all(v.contains_zero() for v in values2)
+    """Filter an off-axis candidate pair: each polynomial's enclosure over the
+    eps box, then the eps^2 box, must contain zero (exact at a rational pair,
+    whose box is a point, and for a constant).  Stops at the first that does
+    not.  Two straddles do not prove that a common zero exists."""
+    for e in (eps, eps * eps):
+        box = (_coord_interval(c1, e), _coord_interval(c2, e))
+        for p in system_polys:
+            v = p.evaluate(box)
+            if (v != 0) if isinstance(v, Fraction) else not v.contains_zero():
+                return False
+    return True
 
 
 def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
@@ -367,36 +351,27 @@ def _ring_sampling(q_aff: MultiPoly, c1, c2, eps, delta=Fraction(1, 64)) -> bool
     return None
 
 
-def _certify_isolated(q_aff: MultiPoly, c1, c2, eps) -> bool | None:
-    """``SingularPoint.isolated`` at (c1, c2); the Hessian test rests on the
-    Morse lemma."""
+def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2, eps) -> bool | None:
+    """``SingularPoint.isolated`` at (c1, c2); ``hessian`` holds the second
+    partials (q11, q12, q22).  The Hessian test rests on the Morse lemma."""
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
         u, v = (MultiPoly.variable(q_aff.variables, i) for i in (0, 1))
         verdict = _newton_polygon_verdict(q_aff.evaluate((u + c1, v + c2)))
     else:
         box = (_coord_interval(c1, eps), _coord_interval(c2, eps))
-        d1, d2 = q_aff.diff(0), q_aff.diff(1)
-        h11, h12, h22 = (h.evaluate(box) for h in (d1.diff(0), d1.diff(1), d2.diff(1)))
+        h11, h12, h22 = (h.evaluate(box) for h in hessian)
         # an interval: constant entries mean a conic, whose singular points are rational
         verdict = {1: True, -1: False, 0: None}[(h11 * h22 - h12 * h12).sign()]
     return _ring_sampling(q_aff, c1, c2, eps) if verdict is None else verdict
 
 
-def _multiplicity_hint(system_polys, q_aff, c1, c2) -> int:
+def _multiplicity_hint(hessian, c1, c2) -> int:
     # lower bound only: 2 because both partials vanish; 3 when every second
     # partial vanishes as well (checked exactly at rational points)
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
-        second = [q_aff.diff(0).diff(0), q_aff.diff(0).diff(1), q_aff.diff(1).diff(1)]
-        if all(p.evaluate((c1, c2)) == 0 for p in second):
+        if all(h.evaluate((c1, c2)) == 0 for h in hessian):
             return 3
     return 2
-
-
-def _dedupe_key(c, eps=Fraction(1, 10**12)):
-    if isinstance(c, Fraction):
-        return ("q", c)
-    iv = c.refine(eps)
-    return ("a", c.poly, iv.lo, iv.hi)
 
 
 def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
@@ -407,57 +382,42 @@ def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
     if A.is_zero and B.is_zero:
         raise DegenerateSystemError("curve gradient vanishes identically")
 
-    found: dict = {}
-
-    def add_point(c1, c2):
-        key = (_dedupe_key(c1), _dedupe_key(c2))
-        if key in found:
-            return
-        hint = _multiplicity_hint(system, q_aff, c1, c2)
-        isolated = _certify_isolated(q_aff, c1, c2, eps)
-        found[key] = SingularPoint(c1, c2, "affine", hint, isolated)
-
-    # points on the coordinate axes: exact univariate gcd certification
-    for axis in (0, 1):
-        subs = [_substitute_zero(p, 1 - axis) for p in system]
-        g = _poly_gcd_many(subs)
-        if g.degree > 0:
-            for root in sturm_isolate(g):
-                val = _rationalize_root(root, eps)
-                # confirm against the full system (gcd roots are exact)
-                other = Fraction(0)
-                c1, c2 = (val, other) if axis == 0 else (other, val)
-                if _verify_box(system, c1, c2, eps):
-                    add_point(c1, c2)
+    # points on the axes y2 = 0 and y1 = 0 are exact common roots; only the
+    # origin lies on both, and it is taken from the first
+    on_y1_axis = _common_line_roots([p.coefficients(1)[0] for p in system], eps)
+    on_y2_axis = _common_line_roots([p.coefficients(0)[0] for p in system], eps)
+    pairs = [(c, Fraction(0)) for c in on_y1_axis]
+    pairs += [(Fraction(0), c) for c in on_y2_axis if c != 0]
 
     # points off both axes: strip monomial content, compress exponent lattices
-    stripped = []
-    for p in system:
-        mc = p.monomial_content()
-        stripped.append(p.shift_down(mc) if any(mc) else p)
+    stripped = [p.shift_down(p.monomial_content()) for p in system]
     if any(not p.is_zero and p.total_degree == 0 for p in stripped):
         # a stripped equation is a nonzero constant: no off-axis solutions
         cands1, cands2 = [], []
     else:
-        strides = []
-        for v in range(2):
-            g = 0
-            for p in stripped:
-                g = gcd(g, p.exponent_gcd(v))
-            strides.append(max(g, 1))
+        strides = [max(gcd(*(p.exponent_gcd(v) for p in stripped)), 1) for v in range(2)]
         compressed = [p.compress_exponents(strides) for p in stripped]
-        cands1 = _candidate_coordinates((compressed, strides), 0, eps)
-        cands2 = _candidate_coordinates((compressed, strides), 1, eps)
-    for c1 in cands1:
-        if isinstance(c1, Fraction) and c1 == 0:
-            continue
-        for c2 in cands2:
-            if isinstance(c2, Fraction) and c2 == 0:
-                continue
-            if _verify_box(system, c1, c2, eps):
-                add_point(c1, c2)
+        cands1, cands2 = (_candidate_coordinates(compressed, strides, v, eps) for v in range(2))
+    # a rational zero is on an axis; an AlgebraicReal never equals 0
+    pairs += [
+        (c1, c2)
+        for c1 in cands1
+        if c1 != 0
+        for c2 in cands2
+        if c2 != 0 and _verify_box(system, c1, c2, eps)
+    ]
 
-    pts = list(found.values())
+    hessian = (A.diff(0), A.diff(1), B.diff(1))
+    pts = [
+        SingularPoint(
+            c1,
+            c2,
+            "affine",
+            _multiplicity_hint(hessian, c1, c2),
+            _certify_isolated(q_aff, hessian, c1, c2, eps),
+        )
+        for c1, c2 in pairs
+    ]
     pts.sort(key=lambda s: s.float_coords())
     return pts
 
@@ -465,16 +425,12 @@ def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
 def _infinity_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
     """Real singular points on the line y0 = 0, examined chart by chart."""
     grads = q.gradient()
-    out = []
     # points (0 : 1 : t)
-    polys = [_substitute_zero(_chart_poly(g, 1), 0) for g in grads]
+    polys = [_chart_poly(g, 1).coefficients(0)[0] for g in grads]
     if all(p.is_zero for p in polys):
         raise DegenerateSystemError("gradient vanishes on the line at infinity")
-    g = _poly_gcd_many(polys)
-    if g.degree > 0:
-        for root in sturm_isolate(g):
-            val = _rationalize_root(root, eps)
-            out.append(SingularPoint(Fraction(1), val, "infinity", 2, None))
+    roots = _common_line_roots(polys, eps)
+    out = [SingularPoint(Fraction(1), t, "infinity", 2, None) for t in roots]
     # the remaining point (0 : 0 : 1)
     if all(gr.evaluate((Fraction(0), Fraction(0), Fraction(1))) == 0 for gr in grads):
         out.append(SingularPoint(Fraction(0), Fraction(1), "infinity", 2, None))
@@ -489,9 +445,11 @@ def real_singular_points(
     Affine-chart points carry an interval or exact-rational coordinate pair
     and an ``isolated`` verdict, proved by the Newton polygon (rational
     points) or the interval Hessian (others), or refuted by the ring-sampling
-    heuristic, or None (see ``SingularPoint``).  Points on the line at
-    infinity are reported separately with chart "infinity".  Requires
-    squarefree q.
+    heuristic, or None (see ``SingularPoint``).  Points on the coordinate
+    axes are exact common roots on the axis; points off them pair candidate
+    coordinates from resultants and pass ``_verify_box``, an interval filter
+    that does not prove existence.  Points on the line at infinity are
+    reported separately with chart "infinity".  Requires squarefree q.
     """
     if len(q.variables) != 3:
         raise ValueError("expected a polynomial in three homogeneous variables")

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .convexgeom import _support_sweep
 from .mpoly import MultiPoly
 
 __all__ = [
@@ -190,11 +191,8 @@ def _pad_bbox(xs, ys, margin=0.1):
 
 def render_supports(body, m: int, caption: str = "") -> str:
     """Supporting-line fan; the convex set shows as the empty center."""
-    normals = []
-    for j in range(m):
-        theta = 2.0 * math.pi * j / m
-        c, s = math.cos(theta), math.sin(theta)
-        normals.append(((c, s), body.support(c, s)))
+    thetas, hs = _support_sweep(body, m)
+    normals = [((math.cos(t), math.sin(t)), h) for t, h in zip(thetas, hs)]
     feet = [(h * c, h * s) for (c, s), h in normals]
     bbox = _pad_bbox([2.2 * x for x, _ in feet], [2.2 * y for _, y in feet])
     cv = SvgCanvas(bbox)

@@ -8,6 +8,7 @@ from kippenhahn.exactnum import GaussianRational
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil
 from kippenhahn.mpoly import parse_poly
+from kippenhahn.realroots import real_singular_points
 
 
 def make_eq3_pencil() -> HermitianPencil:
@@ -49,3 +50,9 @@ def fermat_dual():
     t0 = time.monotonic()
     q = dual_curve(parse_poly("x0^6 - x1^6 - x2^6", ("x0", "x1", "x2")))
     return q, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def fermat_census(fermat_dual):
+    """The real singular points of the Fermat dual, computed once per run."""
+    return real_singular_points(fermat_dual[0])

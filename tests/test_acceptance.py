@@ -28,7 +28,7 @@ from kippenhahn.exactnum import AlgebraicReal, RationalInterval
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import pencil_det, sample_numrange_boundary
 from kippenhahn.mpoly import parse_poly
-from kippenhahn.realroots import UniPoly, count_real_roots, real_singular_points
+from kippenhahn.realroots import UniPoly, count_real_roots
 
 V3 = ("x0", "x1", "x2")
 VY = ("y0", "y1", "y2")
@@ -117,10 +117,9 @@ def test_criterion_3_golden_fermat_dual(fermat_dual):
         assert elapsed < 600.0
 
 
-def test_criterion_4_singular_census(fermat_dual):
+def test_criterion_4_singular_census(fermat_census):
     with criterion(4, "degree-30 dual has exactly 8 real affine singular points"):
-        q, _ = fermat_dual
-        pts = [s for s in real_singular_points(q) if s.chart == "affine"]
+        pts = [s for s in fermat_census if s.chart == "affine"]
         assert len(pts) == 8
 
         rational = sorted(

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import make_random_pencil
 from kippenhahn.convexgeom import (
     OracleBody,
     PencilBody,
     PointCloud,
     ProjLine,
     ProjPoint,
+    _support_sweep,
     check_lemma_ws,
     convex_hull,
     fermat6_body,
@@ -23,7 +25,7 @@ from kippenhahn.convexgeom import (
 )
 from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval
 from kippenhahn.groebner import dual_curve
-from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil
+from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil, support_function
 from kippenhahn.mpoly import parse_poly
 
 V3 = ("x0", "x1", "x2")
@@ -111,6 +113,15 @@ class TestPointOutside:
         res = point_outside_W(body, (float(c[0]), float(c[1])))
         assert res.outside is False
 
+    def test_support_sweep_matches_support_function(self):
+        # the stacked eigvalsh sweep is the per-direction support_function,
+        # bit for bit
+        rng = random.Random(5)
+        pencils = [eq3_body().pencil] + [make_random_pencil(rng, n) for n in (2, 3, 5, 7)]
+        for P in pencils:
+            thetas, hs = _support_sweep(PencilBody(P), 96)
+            assert hs == [support_function(P, (math.cos(t), math.sin(t))) for t in thetas]
+
     def test_far_point_outside(self):
         res = point_outside_W(parabola_body(), (0.0, 10.0))
         assert res.outside is True
@@ -184,7 +195,7 @@ class TestLineCurveRealCheck:
     def test_fermat_far_line_misses_real(self):
         # a line missing S meets the sextic curve only at complex points
         body = fermat6_body()
-        f, _ = body.restriction_poly((2, 0), (0, 1))
+        f = body.restriction_poly((2, 0), (0, 1))
         from kippenhahn.realroots import roots_all_real
 
         assert not roots_all_real(f)
@@ -362,17 +373,17 @@ class TestTangency:
 class TestRestrictionPoly:
     def test_parabola_axis(self):
         body = OracleBody(None, parse_poly("x0^2 + x0*x2 - x1^2", V3))
-        f, _ = body.restriction_poly((0, 0), (0, 1))
+        f = body.restriction_poly((0, 0), (0, 1))
         # restriction along the x2-axis: 1 + t, root at t = -1
         assert f.coeffs == (Fraction(1), Fraction(1))
 
     def test_fermat_x1_axis(self):
-        f, _ = fermat6_body().restriction_poly((0, 0), (1, 0))
+        f = fermat6_body().restriction_poly((0, 0), (1, 0))
         assert f.coeffs == (Fraction(1), 0, 0, 0, 0, 0, Fraction(-1))
 
     def test_constant_direction(self):
         body = OracleBody(None, parse_poly("x0^2 + x0*x2 - x1^2", V3))
-        f, _ = body.restriction_poly((2, 5), (0, 1))
+        f = body.restriction_poly((2, 5), (0, 1))
         # f(1, 2, 5 + t) = 1 + 5 + t - 4 = 2 + t
         assert f.coeffs == (Fraction(2), Fraction(1))
 

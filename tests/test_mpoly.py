@@ -5,7 +5,7 @@ from math import inf
 import pytest
 import sympy
 
-from kippenhahn.exactnum import GaussianRational, ParseError, RationalInterval
+from kippenhahn.exactnum import GaussianRational, ParseError, RationalInterval, UniPoly
 from kippenhahn.mpoly import (
     MultiPoly,
     elimination_order,
@@ -171,6 +171,16 @@ class TestEvaluate:
         val = fermat().evaluate((Fraction(1), x1, x2))
         assert val.contains_zero()
         assert float(val.re.width) < 1e-20 and float(val.im.width) < 1e-20
+
+
+class TestCoefficients:
+    def test_both_variables(self):
+        f = parse_poly("3*a^2*b + a*b^2 - 2*b + 5", ("a", "b"))
+        assert f.coefficients(0) == [UniPoly([5, -2]), UniPoly([0, 0, 1]), UniPoly([0, 3])]
+        assert f.coefficients(1) == [UniPoly([5]), UniPoly([-2, 0, 3]), UniPoly([0, 1])]
+
+    def test_zero_gives_one_zero_column(self):
+        assert MultiPoly.zero(("a", "b")).coefficients(1) == [UniPoly([])]
 
 
 class TestSquarefree:

@@ -268,7 +268,7 @@ class TestSingularPoints:
         assert len(origin) == 1
         assert origin[0].isolated is True
 
-    def test_enclosures_shrink_under_refinement(self, fermat_dual):
+    def test_enclosures_shrink_under_refinement(self, fermat_dual, fermat_census):
         # the definition check: q and its partials straddle zero over the
         # isolating box, and refining the box keeps shrinking the enclosure
         q, _ = fermat_dual
@@ -276,11 +276,7 @@ class TestSingularPoints:
 
         q_aff = _chart_poly(q, 0)
         system = [q_aff, q_aff.diff(0), q_aff.diff(1)]
-        pts = [
-            s
-            for s in real_singular_points(q)
-            if s.chart == "affine" and not s.is_rational()
-        ]
+        pts = [s for s in fermat_census if s.chart == "affine" and not s.is_rational()]
         assert pts
         s = pts[0]
         # below the census's own working precision, so refinement really bisects
@@ -296,6 +292,34 @@ class TestSingularPoints:
                     assert val.width * 2 <= w_prev
                 w_prev = val.width
                 e = e / 8
+
+    _coef = st.integers(-3, 3) | st.just(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_coef, _coef, _coef), min_size=2, max_size=5))
+    def test_line_arrangement_census(self, lines):
+        # q = product of distinct lines a*y1 + b*y2 + c*y0: the affine
+        # singular points are the pairwise crossings, every one a node or a
+        # multiple point, of multiplicity >= 3 where three or more lines meet
+        lines = [f for f in lines if f[0] or f[1]]
+        assume(len(lines) >= 2 and len({primitive(*f) for f in lines}) == len(lines))
+        q = yq("1")
+        for a, b, c in lines:
+            q = q * (yq("y1") * a + yq("y2") * b + yq("y0") * c)
+        crossings = set()
+        for i, (a1, b1, c1) in enumerate(lines):
+            for a2, b2, c2 in lines[i + 1 :]:
+                det = a1 * b2 - a2 * b1
+                if det:  # Cramer's rule; parallel lines meet at infinity
+                    y1 = Fraction(b1 * c2 - b2 * c1, det)
+                    y2 = Fraction(a2 * c1 - a1 * c2, det)
+                    crossings.add((y1, y2))
+        through = {y: sum(a * y[0] + b * y[1] + c == 0 for a, b, c in lines) for y in crossings}
+        pts = [s for s in real_singular_points(q) if s.chart == "affine"]
+        assert all(isinstance(s.y1, Fraction) and isinstance(s.y2, Fraction) for s in pts)
+        assert sorted((s.y1, s.y2) for s in pts) == sorted(crossings)
+        assert all(s.isolated is False for s in pts)
+        assert all((s.multiplicity_hint == 3) == (through[s.y1, s.y2] >= 3) for s in pts)
 
     def test_infinity_points_reported_separately(self):
         # y0 * y1 * y2 = 0: three lines meeting pairwise at three points,
