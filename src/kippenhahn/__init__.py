@@ -25,7 +25,6 @@ from .mpoly import (
     poly_gcd,
 )
 from .groebner import (
-    GroebnerBasis,
     Ideal,
     NonPrincipalIdealError,
     ResourceLimitError,

@@ -575,6 +575,9 @@ def _points_of(cloud):
 # double root is certified by the exact vanishing of Res_t(g, g') at the
 # algebraic number combined with complex interval Newton on g'.
 
+# width to which the algebraic generator's isolating interval is refined
+TANGENCY_EPS = Fraction(1, 10**30)
+
 
 @dataclass(frozen=True)
 class TangencyWitness:
@@ -598,9 +601,8 @@ def _generator_sign(c: AlgebraicReal, base: AlgebraicReal) -> int:
     """+1/-1 when c is the same root as base or its negation, else 0."""
     if c.poly != base.poly:
         return 0
-    eps = Fraction(1, 10**30)
-    a = c.refine(eps)
-    b = base.refine(eps)
+    a = c.refine(TANGENCY_EPS)
+    b = base.refine(TANGENCY_EPS)
     if a.intersect(b) is not None:
         return 1
     # the negated root satisfies the same polynomial iff m(-t) = +-m(t)
@@ -688,7 +690,7 @@ def _horner(coeffs, t: ComplexInterval) -> ComplexInterval:
     return acc
 
 
-def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
+def tangency_check(p: MultiPoly, y: ProjPoint):
     """Contact points where the polar line of y touches the curve {p = 0}.
 
     Restricts p to the polar line of y (parametrized denominator-free over
@@ -700,7 +702,7 @@ def tangency_check(p: MultiPoly, y: ProjPoint, eps=Fraction(1, 10**30)):
     """
     if len(p.variables) != 3:
         raise ValueError("need a trivariate curve polynomial")
-    Pp, Qq, gen, w_iv = _polar_line_param(y.coords, eps)
+    Pp, Qq, gen, w_iv = _polar_line_param(y.coords, TANGENCY_EPS)
     wt = ("w", "t")
     t = MultiPoly.variable(wt, 1)
 

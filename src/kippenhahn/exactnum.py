@@ -34,6 +34,21 @@ __all__ = [
 ]
 
 
+def power(base, n, one):
+    """base**n by square-and-multiply, starting from ``one``; NotImplemented
+    unless n is an int >= 0."""
+    if not isinstance(n, int) or n < 0:
+        return NotImplemented
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class ParseError(ValueError):
     """Raised when scalar/polynomial/matrix text cannot be parsed."""
 
@@ -155,16 +170,7 @@ class GaussianRational:
         return not self.is_zero
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, GaussianRational(1))
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * float(self.im)
@@ -434,16 +440,7 @@ class ComplexInterval:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = ComplexInterval(RationalInterval(1, 1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ComplexInterval(RationalInterval(1, 1)))
 
     def __truediv__(self, other):
         other = _coerce_complex_interval(other)
@@ -680,16 +677,7 @@ class UniPoly:
         return self.divmod(g)[0].primitive()
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, UniPoly([1]))
 
     def compose_power(self, stride: int) -> "UniPoly":
         """Substitute t**stride for the variable: f(v) -> f(t**stride)."""

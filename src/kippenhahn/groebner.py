@@ -2,10 +2,12 @@
 plane projective curve obtained by eliminating the primal variables from the
 tangency ideal.
 
-Internally polynomials are kept over the integers with per-step content
-stripping; the public surface speaks MultiPoly over Fraction.  Reduction and
-pair selection are deterministic, so a Groebner basis is a pure function of
-the input ideal.
+The monomial order is a parameter of the computation, not of a polynomial:
+an ``Ideal`` holds it (grevlex by default) and ``buchberger`` returns the
+reduced basis under it as a plain list of MultiPoly.  Internally polynomials
+are kept over the integers with per-step content stripping; the public
+surface speaks MultiPoly over Fraction.  Reduction and pair selection are
+deterministic, so a Groebner basis is a pure function of the input ideal.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .mpoly import MultiPoly, MonomialOrder, elimination_order, grevlex_order
 
 __all__ = [
     "Ideal",
-    "GroebnerBasis",
     "ResourceLimitError",
     "NonPrincipalIdealError",
     "buchberger",
@@ -40,7 +41,8 @@ class NonPrincipalIdealError(RuntimeError):
 
 
 class Ideal:
-    """A list of nonzero generators over a common ring and monomial order."""
+    """Generators over a common ring, and the monomial order (grevlex by
+    default) under which their Groebner basis is computed."""
 
     def __init__(self, generators, order: MonomialOrder | None = None):
         gens = [g for g in generators]
@@ -52,30 +54,10 @@ class Ideal:
                 raise ValueError("generators live in different rings")
         self.generators = gens
         self.variables = variables
-        self.order = order or gens[0].order
+        self.order = order or grevlex_order(len(variables))
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators over {self.variables})"
-
-
-class GroebnerBasis:
-    """Reduced, monic Groebner basis; elements sorted by decreasing leading term."""
-
-    def __init__(self, elements, order: MonomialOrder):
-        self.elements = list(elements)
-        self.order = order
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __repr__(self):
-        return f"GroebnerBasis({len(self.elements)} elements)"
 
 
 # --- internal integer-coefficient representation ---------------------------
@@ -98,15 +80,9 @@ def _to_internal(f: MultiPoly, order: MonomialOrder):
     return _strip_content(terms)
 
 
-def _to_multipoly(p, variables, order: MonomialOrder, monic=True) -> MultiPoly:
-    if not p:
-        return MultiPoly.zero(variables, order)
-    lead = p[0][2]
-    if monic:
-        terms = {e: Fraction(c, lead) for _, e, c in p}
-    else:
-        terms = {e: Fraction(c) for _, e, c in p}
-    return MultiPoly(variables, terms, order)
+def _to_multipoly(p, variables, monic=True) -> MultiPoly:
+    lead = p[0][2] if p and monic else 1
+    return MultiPoly(variables, {e: Fraction(c, lead) for _, e, c in p})
 
 
 def _strip_content(p):
@@ -281,8 +257,9 @@ def buchberger(
     ideal: Ideal,
     max_terms: int = DEFAULT_MAX_TERMS,
     max_bits: int = DEFAULT_MAX_BITS,
-) -> GroebnerBasis:
-    """Reduced Groebner basis under the ideal's monomial order.
+) -> list[MultiPoly]:
+    """Reduced, monic Groebner basis under the ideal's monomial order, sorted
+    by decreasing leading term.
 
     Pair selection follows the normal strategy (smallest lcm degree first,
     ties by monomial order then pair index); the Gebauer-Moeller criteria
@@ -353,17 +330,16 @@ def buchberger(
         minimal.append(g)
     reduced = _interreduce(minimal, order)
     reduced.sort(key=lambda p: p[0][0], reverse=True)
-    elements = [_to_multipoly(p, variables, order, monic=True) for p in reduced]
-    return GroebnerBasis(elements, order)
+    return [_to_multipoly(p, variables) for p in reduced]
 
 
 def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> MultiPoly:
-    """Full remainder of f modulo a list of polynomials (monic output scale)."""
-    polys = list(basis)
-    order = order or (polys[0].order if polys else f.order)
-    internal = [_to_internal(g, order) for g in polys if not g.is_zero]
+    """Full remainder of f modulo a list of polynomials under ``order``
+    (default grevlex), scaled to coprime integer coefficients."""
+    order = order or grevlex_order(len(f.variables))
+    internal = [_to_internal(g, order) for g in basis if not g.is_zero]
     r = _normal_form_internal(_to_internal(f, order), internal, order)
-    return _to_multipoly(r, f.variables, order, monic=False)
+    return _to_multipoly(r, f.variables, monic=False)
 
 
 def eliminate(ideal: Ideal, elim_vars, **caps) -> list[MultiPoly]:
@@ -381,10 +357,10 @@ def eliminate(ideal: Ideal, elim_vars, **caps) -> list[MultiPoly]:
             )
     gb = buchberger(ideal, **caps)
     if not elim_vars:
-        return list(gb.elements)
+        return gb
     split = ideal.order.split
     kept = []
-    for g in gb.elements:
+    for g in gb:
         if all(all(e[k] == 0 for k in range(split)) for e in g.terms):
             kept.append(g)
     return kept
@@ -421,30 +397,24 @@ def dual_curve(
     base = "y" if primal[0][0] != "y" else "x"
     dual_vars = tuple(f"{base}{i}" for i in range(3))
     ring = primal + dual_vars
-    order = elimination_order(6, 3)
 
     def lift(f: MultiPoly) -> MultiPoly:
-        return MultiPoly(ring, {e + (0, 0, 0): c for e, c in f.terms.items()}, order)
+        return MultiPoly(ring, {e + (0, 0, 0): c for e, c in f.terms.items()})
 
     gens = [lift(p)]
     for i in range(3):
-        yi = MultiPoly.variable(ring, 3 + i, order)
+        yi = MultiPoly.variable(ring, 3 + i)
         gens.append(lift(p.diff(i)) - yi)
 
     basis = eliminate(
-        Ideal(gens, order), [0, 1, 2], max_terms=max_terms, max_bits=max_bits
+        Ideal(gens, elimination_order(6, 3)), [0, 1, 2],
+        max_terms=max_terms, max_bits=max_bits,
     )
     if len(basis) != 1:
         raise NonPrincipalIdealError(
             f"elimination ideal has {len(basis)} generators; expected 1"
         )
-    q6 = basis[0]
-    q = MultiPoly(
-        dual_vars,
-        {e[3:]: c for e, c in q6.terms.items()},
-        grevlex_order(3),
-    )
-    q = q.normalized()
+    q = MultiPoly(dual_vars, {e[3:]: c for e, c in basis[0].terms.items()}).normalized()
     if q.homogeneous_degree() is None:
         raise RuntimeError("dual curve polynomial is not homogeneous")
     return q

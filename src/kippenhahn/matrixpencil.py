@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import GaussianRational, ParseError, UniPoly, parse_gaussian
-from .mpoly import MultiPoly, grevlex_order
+from .mpoly import MultiPoly
 
 __all__ = [
     "HermitianMatrix",
@@ -273,7 +273,7 @@ def pencil_det(P: HermitianPencil, variables=("x0", "x1", "x2")) -> MultiPoly:
             if a + b > n:
                 raise ValueError("pencil determinant is not homogeneous of degree n")
             terms[(a, n - a - b, b)] = c
-    return MultiPoly(variables, terms, grevlex_order(3))
+    return MultiPoly(variables, terms)
 
 
 def det_along_line(A: HermitianMatrix, B: HermitianMatrix):

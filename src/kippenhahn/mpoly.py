@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are plain exponent tuples, one entry per variable; polynomials map
-exponent tuples to nonzero Fraction coefficients.  Monomial orders are small
-key objects so that the same polynomial can be viewed under graded reverse
-lexicographic, lexicographic, or block elimination order.
+Monomials are plain exponent tuples, one entry per variable; a polynomial is
+its variable names and a map from exponent tuples to nonzero Fraction
+coefficients, and carries no monomial order.  Its sorting, leading term and
+normalization use graded reverse lexicographic order; the orders here are
+small key objects that a caller (a Groebner basis computation, through its
+``Ideal``) passes where it needs lexicographic or block elimination order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import re
 from fractions import Fraction
 from math import gcd, inf
 
-from .exactnum import ParseError, UniPoly
+from .exactnum import ParseError, UniPoly, power
 
 __all__ = [
     "MonomialOrder",
@@ -92,9 +94,9 @@ def elimination_order(nvars: int, split: int) -> MonomialOrder:
 class MultiPoly:
     """Sparse multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("variables", "terms", "order")
+    __slots__ = ("variables", "terms")
 
-    def __init__(self, variables, terms=None, order=None):
+    def __init__(self, variables, terms=None):
         variables = tuple(variables)
         clean = {}
         if terms:
@@ -109,7 +111,6 @@ class MultiPoly:
                 clean[exp] = coef
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order or grevlex_order(len(variables)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -117,29 +118,26 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables, order=None):
-        return cls(variables, {}, order)
+    def zero(cls, variables):
+        return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables, c, order=None):
+    def constant(cls, variables, c):
         n = len(tuple(variables))
-        return cls(variables, {(0,) * n: Fraction(c)}, order)
+        return cls(variables, {(0,) * n: Fraction(c)})
 
     @classmethod
-    def variable(cls, variables, index, order=None):
+    def variable(cls, variables, index):
         variables = tuple(variables)
         exp = [0] * len(variables)
         exp[index] = 1
-        return cls(variables, {tuple(exp): Fraction(1)}, order)
-
-    def with_order(self, order) -> "MultiPoly":
-        return MultiPoly(self.variables, self.terms, order)
+        return cls(variables, {tuple(exp): Fraction(1)})
 
     def rename_variables(self, variables) -> "MultiPoly":
         variables = tuple(variables)
         if len(variables) != len(self.variables):
             raise ValueError("variable count mismatch")
-        return MultiPoly(variables, self.terms, self.order)
+        return MultiPoly(variables, self.terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -172,13 +170,14 @@ class MultiPoly:
         return None
 
     def sorted_terms(self, order=None):
-        order = order or self.order
+        """Terms by decreasing monomial under ``order`` (default grevlex)."""
+        order = order or grevlex_order(len(self.variables))
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def leading_term(self, order=None):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        order = order or self.order
+        order = order or grevlex_order(len(self.variables))
         exp = max(self.terms, key=order.key)
         return exp, self.terms[exp]
 
@@ -205,14 +204,12 @@ class MultiPoly:
                 terms[exp] = s
             else:
                 terms.pop(exp, None)
-        return MultiPoly(self.variables, terms, self.order)
+        return MultiPoly(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.variables, {e: -c for e, c in self.terms.items()}, self.order
-        )
+        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -237,27 +234,18 @@ class MultiPoly:
                     terms[exp] = s
                 else:
                     terms.pop(exp, None)
-        return MultiPoly(self.variables, terms, self.order)
+        return MultiPoly(self.variables, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = MultiPoly.constant(self.variables, 1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, MultiPoly.constant(self.variables, 1))
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.variables, other, self.order)
+            return MultiPoly.constant(self.variables, other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -282,7 +270,7 @@ class MultiPoly:
             if e:
                 nexp = exp[:var] + (e - 1,) + exp[var + 1 :]
                 terms[nexp] = terms.get(nexp, Fraction(0)) + c * e
-        return MultiPoly(self.variables, terms, self.order)
+        return MultiPoly(self.variables, terms)
 
     def gradient(self):
         return [self.diff(i) for i in range(len(self.variables))]
@@ -316,7 +304,7 @@ class MultiPoly:
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def normalized(self, order=None) -> "MultiPoly":
+    def normalized(self) -> "MultiPoly":
         """Scale to coprime integer coefficients with positive leading coefficient.
 
         The canonical representative of a curve equation defined up to scalar.
@@ -324,32 +312,16 @@ class MultiPoly:
         if not self.terms:
             return self
         c = self.content()
-        _, lead = self.leading_term(order or self.order)
+        _, lead = self.leading_term()
         if lead < 0:
             c = -c
-        return MultiPoly(
-            self.variables,
-            {e: v / c for e, v in self.terms.items()},
-            self.order,
-        )
-
-    def monic(self, order=None) -> "MultiPoly":
-        if not self.terms:
-            return self
-        _, lead = self.leading_term(order or self.order)
-        return MultiPoly(
-            self.variables,
-            {e: v / lead for e, v in self.terms.items()},
-            self.order,
-        )
+        return MultiPoly(self.variables, {e: v / c for e, v in self.terms.items()})
 
     def scale(self, c) -> "MultiPoly":
         c = Fraction(c)
         if not c:
-            return MultiPoly.zero(self.variables, self.order)
-        return MultiPoly(
-            self.variables, {e: v * c for e, v in self.terms.items()}, self.order
-        )
+            return MultiPoly.zero(self.variables)
+        return MultiPoly(self.variables, {e: v * c for e, v in self.terms.items()})
 
     def proportional_to(self, other: "MultiPoly") -> bool:
         """True when self = c * other for some nonzero rational c."""
@@ -385,7 +357,7 @@ class MultiPoly:
             if any(e < 0 for e in nexp):
                 raise ValueError("monomial does not divide every term")
             terms[nexp] = c
-        return MultiPoly(self.variables, terms, self.order)
+        return MultiPoly(self.variables, terms)
 
     def compress_exponents(self, strides) -> "MultiPoly":
         """Replace v**stride by v for each variable; exponents must comply."""
@@ -399,7 +371,7 @@ class MultiPoly:
                     e //= s
                 nexp.append(e)
             terms[tuple(nexp)] = c
-        return MultiPoly(self.variables, terms, self.order)
+        return MultiPoly(self.variables, terms)
 
     def univariate_in(self, var: int):
         """View as univariate in ``var``: dict degree -> coefficient MultiPoly."""
@@ -409,9 +381,7 @@ class MultiPoly:
             nexp = exp[:var] + (0,) + exp[var + 1 :]
             bucket = buckets.setdefault(d, {})
             bucket[nexp] = bucket.get(nexp, Fraction(0)) + c
-        return {
-            d: MultiPoly(self.variables, t, self.order) for d, t in buckets.items()
-        }
+        return {d: MultiPoly(self.variables, t) for d, t in buckets.items()}
 
     def coefficients(self, var: int) -> list[UniPoly]:
         """Coefficients of a bivariate polynomial in ascending powers of ``var``,
@@ -431,9 +401,8 @@ class MultiPoly:
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        order = self.order
-        key = order.key
-        dexp, dcoef = divisor.leading_term(order)
+        key = grevlex_order(len(self.variables)).key
+        dexp, dcoef = divisor.leading_term()
         rem = dict(self.terms)
         quot = {}
         while rem:
@@ -451,7 +420,7 @@ class MultiPoly:
                     rem[nexp] = s
                 else:
                     rem.pop(nexp, None)
-        return MultiPoly(self.variables, quot, self.order)
+        return MultiPoly(self.variables, quot)
 
     def squarefree_part(self) -> "MultiPoly":
         """Product of the distinct irreducible factors, up to a rational scalar.
@@ -497,7 +466,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if f.degree_in(i) > 0 or g.degree_in(i) > 0
     ]
     if not active:
-        return MultiPoly.constant(f.variables, 1, f.order)
+        return MultiPoly.constant(f.variables, 1)
     var = active[0]
     return _gcd_univar(f, g, var).normalized()
 
@@ -534,7 +503,7 @@ def _content_primitive(f: MultiPoly, var: int):
         if cont.total_degree == 0:
             break
     if cont.total_degree == 0:
-        return MultiPoly.constant(f.variables, 1, f.order), f
+        return MultiPoly.constant(f.variables, 1), f
     return cont, f.divexact(cont)
 
 
@@ -544,7 +513,7 @@ def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
     db = b.degree_in(var)
     lb = b.univariate_in(var)[db]
     r = a
-    xv = MultiPoly.variable(a.variables, var, a.order)
+    xv = MultiPoly.variable(a.variables, var)
     while not r.is_zero and r.degree_in(var) >= db:
         dr = r.degree_in(var)
         lr = r.univariate_in(var)[dr]
@@ -635,7 +604,7 @@ def format_poly(f: MultiPoly) -> str:
     if f.is_zero:
         return "0"
     pieces = []
-    for exp, c in f.sorted_terms(grevlex_order(len(f.variables))):
+    for exp, c in f.sorted_terms():
         factors = []
         if abs(c) != 1 or not any(exp):
             factors.append(str(abs(c)))

@@ -18,8 +18,9 @@ from .exactnum import (
     _sturm_chain,
     _variations,
     simplest_in_interval,
+    sturm_count,
 )
-from .mpoly import MultiPoly, grevlex_order
+from .mpoly import MultiPoly
 
 __all__ = [
     "UniPoly",
@@ -46,20 +47,14 @@ class DegenerateSystemError(RuntimeError):
     """The polynomial system has a shared component (not zero-dimensional)."""
 
 
+# width to which the census refines irrational singular-point coordinates
+COORD_EPS = Fraction(1, 10**20)
+
+
 def count_real_roots(f: UniPoly, lo=None, hi=None) -> int:
     """Distinct real roots of f in (lo, hi]; whole line when bounds omitted."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    fs = f.squarefree_part()
-    if fs.degree == 0:
-        return 0
-    bound = fs.root_bound()
-    lo = Fraction(lo) if lo is not None else -bound
-    hi = Fraction(hi) if hi is not None else bound
-    if lo > hi:
-        raise ValueError("empty interval")
-    chain = _sturm_chain(fs)
-    return _variations(chain, lo) - _variations(chain, hi)
+    bound = f.root_bound()
+    return sturm_count(f.coeffs, -bound if lo is None else lo, bound if hi is None else hi)
 
 
 def sturm_isolate(f: UniPoly) -> list[AlgebraicReal]:
@@ -206,7 +201,7 @@ def _chart_poly(q: MultiPoly, chart: int) -> MultiPoly:
         key = (exp[keep[0]], exp[keep[1]])
         terms[key] = terms.get(key, Fraction(0)) + c
     names = tuple(q.variables[i] for i in keep)
-    return MultiPoly(names, terms, grevlex_order(2))
+    return MultiPoly(names, terms)
 
 
 def _poly_gcd_many(polys: list[UniPoly]) -> UniPoly:
@@ -220,9 +215,9 @@ def _poly_gcd_many(polys: list[UniPoly]) -> UniPoly:
     return g
 
 
-def _rationalize_root(root: AlgebraicReal, eps) -> object:
+def _rationalize_root(root: AlgebraicReal) -> object:
     """Return a Fraction when the isolated root is (certifiably) rational."""
-    iv = root.refine(eps)
+    iv = root.refine(COORD_EPS)
     if iv.width == 0:
         return iv.lo
     cand = simplest_in_interval(iv.lo, iv.hi)
@@ -231,17 +226,17 @@ def _rationalize_root(root: AlgebraicReal, eps) -> object:
     return AlgebraicReal(root.poly, iv)
 
 
-def _common_line_roots(restrictions: list[UniPoly], eps) -> list:
+def _common_line_roots(restrictions: list[UniPoly]) -> list:
     """Common real roots of polynomials restricted to a line, each a Fraction
     or an ``AlgebraicReal``: the roots of their gcd, isolated by Sturm.  They
     are exact common zeros and need no further verification."""
     g = _poly_gcd_many(restrictions)
     if g.degree <= 0:
         return []
-    return [_rationalize_root(r, eps) for r in sturm_isolate(g)]
+    return [_rationalize_root(r) for r in sturm_isolate(g)]
 
 
-def _candidate_coordinates(polys, strides, var: int, eps):
+def _candidate_coordinates(polys, strides, var: int):
     """Candidate values for coordinate ``var`` of common zeros, off the axes,
     of the monomial-stripped system ``polys`` compressed by ``strides``."""
     pairs = [(1, 2), (0, 1), (0, 2)]
@@ -272,16 +267,17 @@ def _candidate_coordinates(polys, strides, var: int, eps):
         )
     # undo the exponent compression: roots in the original coordinate
     expanded = res.squarefree_part().compose_power(strides[var])
-    roots = sturm_isolate(expanded)
-    return [_rationalize_root(r, eps) for r in roots]
+    return [_rationalize_root(r) for r in sturm_isolate(expanded)]
 
 
-def _verify_box(system_polys, c1, c2, eps) -> bool:
+def _verify_box(system_polys, c1, c2) -> bool:
     """Filter an off-axis candidate pair: each polynomial's enclosure over the
-    eps box, then the eps^2 box, must contain zero (exact at a rational pair,
-    whose box is a point, and for a constant).  Stops at the first that does
-    not.  Two straddles do not prove that a common zero exists."""
-    for e in (eps, eps * eps):
+    COORD_EPS box, then the COORD_EPS^2 box, must contain zero (exact for a
+    constant).  Stops at the first that does not.  A rational pair's box is
+    a point, so it takes one pass.  Two straddles do not prove that a common
+    zero exists."""
+    rational = isinstance(c1, Fraction) and isinstance(c2, Fraction)
+    for e in (COORD_EPS,) if rational else (COORD_EPS, COORD_EPS**2):
         box = (_coord_interval(c1, e), _coord_interval(c2, e))
         for p in system_polys:
             v = p.evaluate(box)
@@ -325,13 +321,13 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
     return verdict
 
 
-def _ring_sampling(q_aff: MultiPoly, c1, c2, eps, delta=Fraction(1, 64)) -> bool | None:
+def _ring_sampling(q_aff: MultiPoly, c1, c2, delta=Fraction(1, 64)) -> bool | None:
     """False when exact signs of q sampled on two square rings around the
     point change or vanish, else None.  A heuristic: a sign change at
     distance delta need not come from a branch through the point."""
     # a coarse center keeps the sample denominators small
-    m1 = _coord_interval(c1, eps).mid.limit_denominator(2**32)
-    m2 = _coord_interval(c2, eps).mid.limit_denominator(2**32)
+    m1 = _coord_interval(c1, COORD_EPS).mid.limit_denominator(2**32)
+    m2 = _coord_interval(c2, COORD_EPS).mid.limit_denominator(2**32)
     sign_seen = 0
     for k in range(-8, 9):
         off = delta * Fraction(k, 8)
@@ -351,18 +347,18 @@ def _ring_sampling(q_aff: MultiPoly, c1, c2, eps, delta=Fraction(1, 64)) -> bool
     return None
 
 
-def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2, eps) -> bool | None:
+def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2) -> bool | None:
     """``SingularPoint.isolated`` at (c1, c2); ``hessian`` holds the second
     partials (q11, q12, q22).  The Hessian test rests on the Morse lemma."""
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
         u, v = (MultiPoly.variable(q_aff.variables, i) for i in (0, 1))
         verdict = _newton_polygon_verdict(q_aff.evaluate((u + c1, v + c2)))
     else:
-        box = (_coord_interval(c1, eps), _coord_interval(c2, eps))
+        box = (_coord_interval(c1, COORD_EPS), _coord_interval(c2, COORD_EPS))
         h11, h12, h22 = (h.evaluate(box) for h in hessian)
         # an interval: constant entries mean a conic, whose singular points are rational
         verdict = {1: True, -1: False, 0: None}[(h11 * h22 - h12 * h12).sign()]
-    return _ring_sampling(q_aff, c1, c2, eps) if verdict is None else verdict
+    return _ring_sampling(q_aff, c1, c2) if verdict is None else verdict
 
 
 def _multiplicity_hint(hessian, c1, c2) -> int:
@@ -374,7 +370,7 @@ def _multiplicity_hint(hessian, c1, c2) -> int:
     return 2
 
 
-def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
+def _affine_singular_points(q: MultiPoly) -> list[SingularPoint]:
     q_aff = _chart_poly(q, 0)
     A = q_aff.diff(0)
     B = q_aff.diff(1)
@@ -384,8 +380,8 @@ def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
 
     # points on the axes y2 = 0 and y1 = 0 are exact common roots; only the
     # origin lies on both, and it is taken from the first
-    on_y1_axis = _common_line_roots([p.coefficients(1)[0] for p in system], eps)
-    on_y2_axis = _common_line_roots([p.coefficients(0)[0] for p in system], eps)
+    on_y1_axis = _common_line_roots([p.coefficients(1)[0] for p in system])
+    on_y2_axis = _common_line_roots([p.coefficients(0)[0] for p in system])
     pairs = [(c, Fraction(0)) for c in on_y1_axis]
     pairs += [(Fraction(0), c) for c in on_y2_axis if c != 0]
 
@@ -397,14 +393,14 @@ def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
     else:
         strides = [max(gcd(*(p.exponent_gcd(v) for p in stripped)), 1) for v in range(2)]
         compressed = [p.compress_exponents(strides) for p in stripped]
-        cands1, cands2 = (_candidate_coordinates(compressed, strides, v, eps) for v in range(2))
+        cands1, cands2 = (_candidate_coordinates(compressed, strides, v) for v in range(2))
     # a rational zero is on an axis; an AlgebraicReal never equals 0
     pairs += [
         (c1, c2)
         for c1 in cands1
         if c1 != 0
         for c2 in cands2
-        if c2 != 0 and _verify_box(system, c1, c2, eps)
+        if c2 != 0 and _verify_box(system, c1, c2)
     ]
 
     hessian = (A.diff(0), A.diff(1), B.diff(1))
@@ -414,7 +410,7 @@ def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
             c2,
             "affine",
             _multiplicity_hint(hessian, c1, c2),
-            _certify_isolated(q_aff, hessian, c1, c2, eps),
+            _certify_isolated(q_aff, hessian, c1, c2),
         )
         for c1, c2 in pairs
     ]
@@ -422,14 +418,14 @@ def _affine_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
     return pts
 
 
-def _infinity_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
+def _infinity_singular_points(q: MultiPoly) -> list[SingularPoint]:
     """Real singular points on the line y0 = 0, examined chart by chart."""
     grads = q.gradient()
     # points (0 : 1 : t)
     polys = [_chart_poly(g, 1).coefficients(0)[0] for g in grads]
     if all(p.is_zero for p in polys):
         raise DegenerateSystemError("gradient vanishes on the line at infinity")
-    roots = _common_line_roots(polys, eps)
+    roots = _common_line_roots(polys)
     out = [SingularPoint(Fraction(1), t, "infinity", 2, None) for t in roots]
     # the remaining point (0 : 0 : 1)
     if all(gr.evaluate((Fraction(0), Fraction(0), Fraction(1))) == 0 for gr in grads):
@@ -437,9 +433,7 @@ def _infinity_singular_points(q: MultiPoly, eps) -> list[SingularPoint]:
     return out
 
 
-def real_singular_points(
-    q: MultiPoly, eps=Fraction(1, 10**20)
-) -> list[SingularPoint]:
+def real_singular_points(q: MultiPoly) -> list[SingularPoint]:
     """All real singular points of the projective curve {q = 0}.
 
     Affine-chart points carry an interval or exact-rational coordinate pair
@@ -457,6 +451,6 @@ def real_singular_points(
         raise ValueError("zero polynomial")
     if not q.squarefree_part().proportional_to(q):
         raise ValueError("polynomial must be squarefree")
-    pts = _affine_singular_points(q, eps)
-    pts += _infinity_singular_points(q, eps)
+    pts = _affine_singular_points(q)
+    pts += _infinity_singular_points(q)
     return pts

@@ -33,10 +33,9 @@ VY = ("y0", "y1", "y2")
 
 
 def twisted_cubic_ideal():
-    lex = lex_order(3)
-    f1 = parse_poly("x0^2 - x1", V3).with_order(lex)
-    f2 = parse_poly("x0^3 - x2", V3).with_order(lex)
-    return Ideal([f1, f2], lex)
+    f1 = parse_poly("x0^2 - x1", V3)
+    f2 = parse_poly("x0^3 - x2", V3)
+    return Ideal([f1, f2], lex_order(3))
 
 
 class TestBuchberger:
@@ -81,16 +80,17 @@ class TestBuchberger:
                     lcm = tuple(max(a, b) for a, b in zip(ei, ej))
                     mi = {tuple(a - b for a, b in zip(lcm, ei)): 1 / ci}
                     mj = {tuple(a - b for a, b in zip(lcm, ej)): 1 / cj}
-                    s = MultiPoly(gb[i].variables, mi, order) * gb[i] - MultiPoly(
-                        gb[j].variables, mj, order
+                    s = MultiPoly(gb[i].variables, mi) * gb[i] - MultiPoly(
+                        gb[j].variables, mj
                     ) * gb[j]
                     if s.is_zero:
                         continue
                     assert normal_form(s, list(gb), order).is_zero
 
     def test_reduced_basis_shape(self):
-        gb = buchberger(twisted_cubic_ideal())
-        order = gb.order
+        ideal = twisted_cubic_ideal()
+        gb = buchberger(ideal)
+        order = ideal.order
         lms = [g.leading_term(order)[0] for g in gb]
         # monic leading coefficients, no leading monomial divides another
         for g in gb:
@@ -105,6 +105,14 @@ class TestBuchberger:
         b = buchberger(twisted_cubic_ideal())
         assert [g.terms for g in a] == [g.terms for g in b]
 
+    def test_order_belongs_to_the_ideal(self):
+        # a lex basis element equals the polynomial it came from: the same
+        # proportionality class and the same normalized form
+        f = parse_poly("x0 - x1^2", V3)
+        (g,) = buchberger(Ideal([f], lex_order(3)))
+        assert g.proportional_to(f) and f.proportional_to(g)
+        assert g.normalized() == f.normalized()
+
     def test_resource_cap(self):
         gens = [
             parse_poly("x0^4 + x1^3 - x2", V3),
@@ -118,8 +126,8 @@ class TestBuchberger:
 class TestEliminate:
     def test_twisted_cubic(self):
         order = elimination_order(3, 1)
-        f1 = parse_poly("x0^2 - x1", V3).with_order(order)
-        f2 = parse_poly("x0^3 - x2", V3).with_order(order)
+        f1 = parse_poly("x0^2 - x1", V3)
+        f2 = parse_poly("x0^3 - x2", V3)
         basis = eliminate(Ideal([f1, f2], order), [0])
         assert len(basis) == 1
         assert basis[0].proportional_to(parse_poly("x1^3 - x2^2", V3))
@@ -131,7 +139,7 @@ class TestEliminate:
     def test_unit_ideal(self):
         order = elimination_order(3, 1)
         basis = eliminate(
-            Ideal([MultiPoly.constant(V3, 1, order)], order), [0]
+            Ideal([MultiPoly.constant(V3, 1)], order), [0]
         )
         assert len(basis) == 1 and basis[0] == MultiPoly.constant(V3, 1)
 
