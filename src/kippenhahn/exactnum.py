@@ -246,8 +246,8 @@ class RationalInterval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = hi if type(hi) is Fraction else Fraction(hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -291,18 +291,18 @@ class RationalInterval:
         other = _coerce_interval(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
+        return _ordered(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalInterval(-self.hi, -self.lo)
+        return _ordered(-self.hi, -self.lo)
 
     def __sub__(self, other):
         other = _coerce_interval(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _ordered(self.lo - other.hi, self.hi - other.lo)
 
     def __rsub__(self, other):
         other = _coerce_interval(other)
@@ -314,13 +314,26 @@ class RationalInterval:
         other = _coerce_interval(other)
         if other is NotImplemented:
             return NotImplemented
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RationalInterval(min(products), max(products))
+        # the nine sign cases of [a, b] * [c, d] (Moore 1966): only when both
+        # straddle 0 do the extremes need four products and two comparisons
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a.numerator >= 0:
+            if c.numerator >= 0:
+                return _ordered(a * c, b * d)
+            if d.numerator <= 0:
+                return _ordered(b * c, a * d)
+            return _ordered(b * c, b * d)
+        if b.numerator <= 0:
+            if c.numerator >= 0:
+                return _ordered(a * d, b * c)
+            if d.numerator <= 0:
+                return _ordered(b * d, a * c)
+            return _ordered(a * d, a * c)
+        if c.numerator >= 0:
+            return _ordered(a * d, b * d)
+        if d.numerator <= 0:
+            return _ordered(b * c, a * c)
+        return _ordered(min(a * d, b * c), max(a * c, b * d))
 
     __rmul__ = __mul__
 
@@ -373,6 +386,16 @@ class RationalInterval:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+def _ordered(lo: Fraction, hi: Fraction) -> RationalInterval:
+    """The interval [lo, hi] from Fraction endpoints already known to be in
+    order: the arithmetic's own results skip the public constructor's
+    conversion and check."""
+    iv = object.__new__(RationalInterval)
+    object.__setattr__(iv, "lo", lo)
+    object.__setattr__(iv, "hi", hi)
+    return iv
 
 
 def _coerce_interval(v):
@@ -540,8 +563,25 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
+        cs = self.coeffs
+        if cs and isinstance(x, (int, Fraction)):
+            # Horner on integers: with L the lcm of the coefficient
+            # denominators and x = p/q, f(x) = sum (L c_i) p^i q^(d-i) / (L q^d),
+            # reduced by one gcd at the end instead of one per step
+            lcm = 1
+            for c in cs:
+                den = c.denominator
+                if den != 1:
+                    lcm = lcm * den // gcd(lcm, den)
+            p, q = x.numerator, x.denominator
+            acc = cs[-1].numerator * (lcm // cs[-1].denominator)
+            qk = 1
+            for i in range(len(cs) - 2, -1, -1):
+                qk *= q
+                acc = acc * p + cs[i].numerator * (lcm // cs[i].denominator) * qk
+            return Fraction(acc, lcm * qk)
         acc = None
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = c if acc is None else acc * x + c
         if acc is None:
             return Fraction(0)
@@ -872,6 +912,14 @@ class AlgebraicReal:
             else:
                 hi = mid
         return RationalInterval(lo, hi)
+
+    def _with_interval(self, interval: RationalInterval) -> "AlgebraicReal":
+        """This number on ``interval``, which the caller has proved to be an
+        isolating interval of it; nothing is certified again."""
+        out = object.__new__(AlgebraicReal)
+        object.__setattr__(out, "poly", self.poly)
+        object.__setattr__(out, "interval", interval)
+        return out
 
     def to_float(self, eps=Fraction(1, 10**17)) -> float:
         return float(self.refine(eps).mid)

@@ -187,10 +187,18 @@ class SingularPoint:
         return isinstance(self.y1, Fraction) and isinstance(self.y2, Fraction)
 
 
-def _coord_interval(c, eps) -> RationalInterval:
-    if isinstance(c, AlgebraicReal):
+def _coord_interval(c, eps, boxes=None) -> RationalInterval:
+    """c refined to width eps; ``boxes`` memoizes the refinements of one
+    census, keyed by (coordinate, eps), an ``AlgebraicReal`` hashing by
+    identity."""
+    if not isinstance(c, AlgebraicReal):
+        return RationalInterval.point(Fraction(c))
+    if boxes is None:
         return c.refine(eps)
-    return RationalInterval.point(Fraction(c))
+    key = (c, eps)
+    if key not in boxes:
+        boxes[key] = c.refine(eps)
+    return boxes[key]
 
 
 def _chart_poly(q: MultiPoly, chart: int) -> MultiPoly:
@@ -223,7 +231,11 @@ def _rationalize_root(root: AlgebraicReal) -> object:
     cand = simplest_in_interval(iv.lo, iv.hi)
     if UniPoly(root.poly)(cand) == 0:
         return cand
-    return AlgebraicReal(root.poly, iv)
+    # root.poly is the squarefree polynomial sturm_isolate certified, and iv,
+    # from bisection inside root's certified isolating interval, keeps a sign
+    # change at its ends: it isolates the same root, as the public constructor
+    # would prove again with a gcd and a Sturm chain
+    return root._with_interval(iv)
 
 
 def _common_line_roots(restrictions: list[UniPoly]) -> list:
@@ -270,7 +282,7 @@ def _candidate_coordinates(polys, strides, var: int):
     return [_rationalize_root(r) for r in sturm_isolate(expanded)]
 
 
-def _verify_box(system_polys, c1, c2) -> bool:
+def _verify_box(system_polys, c1, c2, boxes) -> bool:
     """Filter an off-axis candidate pair: each polynomial's enclosure over the
     COORD_EPS box, then the COORD_EPS^2 box, must contain zero (exact for a
     constant).  Stops at the first that does not.  A rational pair's box is
@@ -278,7 +290,7 @@ def _verify_box(system_polys, c1, c2) -> bool:
     zero exists."""
     rational = isinstance(c1, Fraction) and isinstance(c2, Fraction)
     for e in (COORD_EPS,) if rational else (COORD_EPS, COORD_EPS**2):
-        box = (_coord_interval(c1, e), _coord_interval(c2, e))
+        box = (_coord_interval(c1, e, boxes), _coord_interval(c2, e, boxes))
         for p in system_polys:
             v = p.evaluate(box)
             if (v != 0) if isinstance(v, Fraction) else not v.contains_zero():
@@ -321,13 +333,13 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
     return verdict
 
 
-def _ring_sampling(q_aff: MultiPoly, c1, c2, delta=Fraction(1, 64)) -> bool | None:
+def _ring_sampling(q_aff: MultiPoly, c1, c2, boxes, delta=Fraction(1, 64)) -> bool | None:
     """False when exact signs of q sampled on two square rings around the
     point change or vanish, else None.  A heuristic: a sign change at
     distance delta need not come from a branch through the point."""
     # a coarse center keeps the sample denominators small
-    m1 = _coord_interval(c1, COORD_EPS).mid.limit_denominator(2**32)
-    m2 = _coord_interval(c2, COORD_EPS).mid.limit_denominator(2**32)
+    m1 = _coord_interval(c1, COORD_EPS, boxes).mid.limit_denominator(2**32)
+    m2 = _coord_interval(c2, COORD_EPS, boxes).mid.limit_denominator(2**32)
     sign_seen = 0
     for k in range(-8, 9):
         off = delta * Fraction(k, 8)
@@ -347,18 +359,18 @@ def _ring_sampling(q_aff: MultiPoly, c1, c2, delta=Fraction(1, 64)) -> bool | No
     return None
 
 
-def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2) -> bool | None:
+def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2, boxes) -> bool | None:
     """``SingularPoint.isolated`` at (c1, c2); ``hessian`` holds the second
     partials (q11, q12, q22).  The Hessian test rests on the Morse lemma."""
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
         u, v = (MultiPoly.variable(q_aff.variables, i) for i in (0, 1))
         verdict = _newton_polygon_verdict(q_aff.evaluate((u + c1, v + c2)))
     else:
-        box = (_coord_interval(c1, COORD_EPS), _coord_interval(c2, COORD_EPS))
+        box = (_coord_interval(c1, COORD_EPS, boxes), _coord_interval(c2, COORD_EPS, boxes))
         h11, h12, h22 = (h.evaluate(box) for h in hessian)
         # an interval: constant entries mean a conic, whose singular points are rational
         verdict = {1: True, -1: False, 0: None}[(h11 * h22 - h12 * h12).sign()]
-    return _ring_sampling(q_aff, c1, c2) if verdict is None else verdict
+    return _ring_sampling(q_aff, c1, c2, boxes) if verdict is None else verdict
 
 
 def _multiplicity_hint(hessian, c1, c2) -> int:
@@ -394,13 +406,15 @@ def _affine_singular_points(q: MultiPoly) -> list[SingularPoint]:
         strides = [max(gcd(*(p.exponent_gcd(v) for p in stripped)), 1) for v in range(2)]
         compressed = [p.compress_exponents(strides) for p in stripped]
         cands1, cands2 = (_candidate_coordinates(compressed, strides, v) for v in range(2))
+    # each coordinate is refined once per eps in the census
+    boxes = {}
     # a rational zero is on an axis; an AlgebraicReal never equals 0
     pairs += [
         (c1, c2)
         for c1 in cands1
         if c1 != 0
         for c2 in cands2
-        if c2 != 0 and _verify_box(system, c1, c2)
+        if c2 != 0 and _verify_box(system, c1, c2, boxes)
     ]
 
     hessian = (A.diff(0), A.diff(1), B.diff(1))
@@ -410,7 +424,7 @@ def _affine_singular_points(q: MultiPoly) -> list[SingularPoint]:
             c2,
             "affine",
             _multiplicity_hint(hessian, c1, c2),
-            _certify_isolated(q_aff, hessian, c1, c2),
+            _certify_isolated(q_aff, hessian, c1, c2, boxes),
         )
         for c1, c2 in pairs
     ]

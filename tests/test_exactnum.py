@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn.exactnum import (
@@ -198,6 +199,73 @@ class TestRationalInterval:
         # midpoint-of-box product must land inside
         assert w.re.contains(Fraction(9, 4) - 0) or w.re.contains(Fraction(1))
         assert (z - z).contains_zero()
+
+
+_rational = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_interval = st.lists(_rational, min_size=2, max_size=2).map(sorted).map(
+    lambda ends: RationalInterval(*ends)
+)
+# endpoints of every sign, with zero, so that pairs reach all nine sign cases
+_SIGNED_ENDS = [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(2)]
+
+
+def _product_hull(iv1, iv2):
+    products = [a * b for a in (iv1.lo, iv1.hi) for b in (iv2.lo, iv2.hi)]
+    return min(products), max(products)
+
+
+class TestExactKernels:
+    """The integer Horner of ``UniPoly.__call__`` and the sign-case interval
+    product against their textbook definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_rational, max_size=8), st.integers(-40, 40) | _rational)
+    @example([], 3)
+    @example([0, 0], Fraction(-1, 2))
+    @example([Fraction(5, 3)], 0)
+    @example([Fraction(5, 3)], Fraction(-7, 4))
+    @example([1, -2, 3], 0)
+    @example([Fraction(1, 2), Fraction(-3, 4), Fraction(2, 9)], -3)
+    @example([Fraction(1, 6), 0, 0, Fraction(-5, 4)], Fraction(-2, 3))
+    def test_unipoly_call_is_the_power_sum(self, cs, x):
+        v = UniPoly(cs)(x)
+        assert type(v) is Fraction
+        assert v == sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(cs)), Fraction(0))
+
+    def test_unipoly_call_keeps_other_rings(self):
+        f = UniPoly([Fraction(1, 2), -3, 1])
+        t = RationalInterval(-1, 2)
+        assert f(t) == (t - 3) * t + Fraction(1, 2)  # Horner's enclosure
+        assert f(GaussianRational(1, 1)) == GaussianRational(Fraction(-5, 2), -1)
+        assert f(UniPoly([0, 2])) == UniPoly([Fraction(1, 2), -6, 4])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_interval, _interval)
+    def test_interval_product_is_the_endpoint_hull(self, iv1, iv2):
+        out = iv1 * iv2
+        assert (out.lo, out.hi) == _product_hull(iv1, iv2)
+        assert type(out.lo) is Fraction and type(out.hi) is Fraction
+
+    def test_interval_product_every_sign_case(self):
+        # every interval on the signed ends, point intervals among them
+        ivs = [RationalInterval(a, b) for a, b in itertools.product(_SIGNED_ENDS, repeat=2) if a <= b]
+        cases = set()
+        for iv1, iv2 in itertools.product(ivs, repeat=2):
+            out = iv1 * iv2
+            assert (out.lo, out.hi) == _product_hull(iv1, iv2)
+            assert type(out.lo) is Fraction and type(out.hi) is Fraction
+            assert iv1 * iv2.lo == RationalInterval(*_product_hull(iv1, RationalInterval.point(iv2.lo)))
+            cases.add((iv1.sign(), iv2.sign()))
+        assert len(cases) == 9
+
+    @settings(max_examples=100, deadline=None)
+    @given(_interval, _interval)
+    def test_interval_sum_difference_negation(self, iv1, iv2):
+        assert iv1 + iv2 == RationalInterval(iv1.lo + iv2.lo, iv1.hi + iv2.hi)
+        assert iv1 - iv2 == RationalInterval(iv1.lo - iv2.hi, iv1.hi - iv2.lo)
+        assert -iv1 == RationalInterval(-iv1.hi, -iv1.lo)
+        for out in (iv1 + iv2, iv1 - iv2, -iv1):
+            assert type(out.lo) is Fraction and type(out.hi) is Fraction
 
 
 class TestSturmCount:

@@ -8,8 +8,11 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_random_pencil
+from kippenhahn import realroots
 from kippenhahn.exactnum import AlgebraicReal
 from kippenhahn.groebner import dual_curve
+from kippenhahn.matrixpencil import pencil_det
 from kippenhahn.mpoly import MultiPoly, parse_poly
 from kippenhahn.realroots import (
     DegenerateSystemError,
@@ -356,6 +359,59 @@ def primitive(*coeffs):
     """Integer coefficients divided by their gcd, first nonzero one positive."""
     g = gcd(*coeffs) * (1 if next(c for c in coeffs if c) > 0 else -1)
     return tuple(c // g for c in coeffs)
+
+
+# integer factors, most with irrational real roots
+_int_factor = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(1, 3)).map(lambda kd: [-kd[0], kd[1]]),
+    st.integers(2, 7).map(lambda a: [-a, 0, 1]),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda bc: [bc[1], bc[0], 1]),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ab: [-ab[1], -ab[0], 0, 1]),
+)
+
+
+class TestRationalizeRoot:
+    """``_rationalize_root`` builds an irrational root on its refined interval
+    without certifying it again; the result must be the one the public
+    constructor certifies, field for field."""
+
+    @staticmethod
+    def assert_nested(root, c):
+        iv = root.refine(realroots.COORD_EPS)
+        if not isinstance(c, AlgebraicReal):
+            assert iv.contains(c) and UniPoly(root.poly)(c) == 0
+            return
+        ref = AlgebraicReal(root.poly, iv)
+        assert (c.poly, c.interval) == (ref.poly, ref.interval)
+        assert type(c.poly) is tuple and all(type(k) is int for k in c.poly)
+        assert type(c.interval.lo) is Fraction and type(c.interval.hi) is Fraction
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_int_factor, min_size=1, max_size=3))
+    def test_sampled_integer_polynomials(self, factors):
+        f = UniPoly([1])
+        for g in factors:
+            f = f * UniPoly(g)
+        for root in sturm_isolate(f):
+            self.assert_nested(root, realroots._rationalize_root(root))
+
+    def test_census_pencil(self, monkeypatch):
+        # every root the census takes through _rationalize_root on the dual
+        # of the generator's pencil at seed 13
+        seen = []
+        original = realroots._rationalize_root
+
+        def recording(root):
+            seen.append((root, original(root)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(realroots, "_rationalize_root", recording)
+        q = dual_curve(pencil_det(make_random_pencil(random.Random(13), 3)))
+        pts = real_singular_points(q)
+        assert len(pts) == 3 and all(isinstance(s.y1, AlgebraicReal) for s in pts)
+        assert sum(isinstance(c, AlgebraicReal) for _, c in seen) >= 6
+        for root, c in seen:
+            self.assert_nested(root, c)
 
 
 SQRT2 = round(2**0.5, 9)
