@@ -3,8 +3,8 @@ real singular points, run the verification pipeline, and draw the four
 standard panels as SVG.
 
 Exit codes: 0 success (or degenerate geometry with a warning), 1 failed
-verification, 2 parse error, 3 resource cap exceeded, 4 non-principal
-elimination ideal, 5 precision exhaustion.
+verification, 2 parse error or invalid curve, 3 resource cap exceeded,
+4 non-principal elimination ideal, 5 precision exhaustion.
 """
 
 from __future__ import annotations
@@ -167,7 +167,11 @@ def cmd_charpoly(args) -> int:
 def cmd_dual(args) -> int:
     cfg, _ = _build_config(args)
     p = _load_curve_poly(args)
-    q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
+    try:
+        q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
+    except ValueError as exc:  # degree below 2, or not squarefree
+        print(f"invalid curve: {exc}", file=sys.stderr)
+        return 2
     print(q)
     print(f"degree {q.total_degree}, {q.num_terms()} terms", file=sys.stderr)
     return 0

@@ -373,16 +373,6 @@ class MultiPoly:
             terms[tuple(nexp)] = c
         return MultiPoly(self.variables, terms)
 
-    def univariate_in(self, var: int):
-        """View as univariate in ``var``: dict degree -> coefficient MultiPoly."""
-        buckets = {}
-        for exp, c in self.terms.items():
-            d = exp[var]
-            nexp = exp[:var] + (0,) + exp[var + 1 :]
-            bucket = buckets.setdefault(d, {})
-            bucket[nexp] = bucket.get(nexp, Fraction(0)) + c
-        return {d: MultiPoly(self.variables, t) for d, t in buckets.items()}
-
     def coefficients(self, var: int) -> list[UniPoly]:
         """Coefficients of a bivariate polynomial in ascending powers of ``var``,
         each a UniPoly in the other variable; one zero column for zero."""
@@ -449,76 +439,34 @@ class MultiPoly:
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd via primitive Euclidean remainders, recursing on variables.
+    """gcd as f*g / lcm(f, g), normalized to integer content 1.
 
-    Suitable for the small inputs that show up here (three variables, sparse,
-    degree at most a few dozen); normalized to integer content 1.
+    The lcm generates (t*f, (1 - t)*g) ∩ Q[x] (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, ch. 4 §3): the one element free of
+    t in a Groebner basis under the block order eliminating t.  Buchberger
+    runs under its default caps and raises ResourceLimitError past them.
     """
+    # imported here because groebner imports this module
+    from .groebner import Ideal, eliminate
+
     if f.variables != g.variables:
         raise ValueError("variable lists differ")
     if f.is_zero:
         return g.normalized()
     if g.is_zero:
         return f.normalized()
-    active = [
-        i
-        for i in range(len(f.variables))
-        if f.degree_in(i) > 0 or g.degree_in(i) > 0
-    ]
-    if not active:
-        return MultiPoly.constant(f.variables, 1)
-    var = active[0]
-    return _gcd_univar(f, g, var).normalized()
+    n = len(f.variables)
+    ring = ("t",) + f.variables
 
+    def lift(h: MultiPoly) -> MultiPoly:
+        return MultiPoly(ring, {(0,) + e: c for e, c in h.terms.items()})
 
-def _gcd_univar(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    fc, fp = _content_primitive(f, var)
-    gc, gp = _content_primitive(g, var)
-    cont = poly_gcd(fc, gc)
-    a, b = fp, gp
-    while True:
-        db = b.degree_in(var)
-        if db < 0:
-            break
-        da = a.degree_in(var)
-        if da < db:
-            a, b = b, a
-            continue
-        r = _pseudo_rem(a, b, var)
-        if not r.is_zero:
-            r = r.normalized()  # strip rational content to bound growth
-        a, b = b, r
-        if b.is_zero:
-            break
-    _, prim = _content_primitive(a, var)
-    return cont * prim
-
-
-def _content_primitive(f: MultiPoly, var: int):
-    """Content (gcd of the coefficients w.r.t. var) and primitive part."""
-    coeffs = f.univariate_in(var)
-    cont = None
-    for d in sorted(coeffs):
-        cont = coeffs[d] if cont is None else poly_gcd(cont, coeffs[d])
-        if cont.total_degree == 0:
-            break
-    if cont.total_degree == 0:
-        return MultiPoly.constant(f.variables, 1), f
-    return cont, f.divexact(cont)
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to ``var``."""
-    da = a.degree_in(var)
-    db = b.degree_in(var)
-    lb = b.univariate_in(var)[db]
-    r = a
-    xv = MultiPoly.variable(a.variables, var)
-    while not r.is_zero and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        lr = r.univariate_in(var)[dr]
-        r = lb * r - lr * xv ** (dr - db) * b
-    return r
+    t = MultiPoly.variable(ring, 0)
+    [lcm] = eliminate(
+        Ideal([t * lift(f), (1 - t) * lift(g)], elimination_order(n + 1, 1)), [0]
+    )
+    lcm = MultiPoly(f.variables, {e[1:]: c for e, c in lcm.terms.items()})
+    return (f * g).divexact(lcm).normalized()
 
 
 # --- text form ---------------------------------------------------------------

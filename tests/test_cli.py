@@ -114,6 +114,21 @@ class TestDual:
     def test_resource_cap_exit_3(self, eq3_file, capsys):
         assert main(["dual", "--input", str(eq3_file), "--max-terms", "5"]) == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0^2*x1^2 - x1^4", "dual_curve expects a squarefree polynomial"),
+            ("x0 + x1", "dual_curve expects a homogeneous polynomial of degree >= 2"),
+        ],
+    )
+    def test_invalid_curve_exit_2(self, tmp_path, capsys, text, message):
+        f = tmp_path / "invalid.poly"
+        f.write_text(text + "\n")
+        assert main(["dual", "--input", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid curve: {message}\n"
+
     def test_non_principal_exit_4(self, tmp_path, capsys):
         f = tmp_path / "lines.poly"
         f.write_text("x0^2 - x1^2\n")

@@ -47,6 +47,13 @@ def to_sympy(f):
     return expr, xs
 
 
+def from_sympy(expr, xs):
+    poly = sympy.Poly(expr, *xs)
+    return MultiPoly(
+        V3, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+    )
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         f = parse_poly("x0 + x1", V3)
@@ -210,6 +217,26 @@ class TestSquarefree:
                 if not d.is_zero:
                     g = poly_gcd(g, d)
             assert g.total_degree == 0
+
+    def test_gcd_against_sympy(self):
+        # a common factor c planted in random trivariate f and g: the gcd
+        # is c times gcd(f, g), which the sympy oracle computes on its own
+        rng = random.Random(43)
+        for _ in range(60):
+            c = random_poly(rng, nterms=3, maxdeg=2)
+            f = random_poly(rng, nterms=4, maxdeg=2) * c
+            g = random_poly(rng, nterms=4, maxdeg=2) * c
+            if f.is_zero or g.is_zero:
+                continue
+            ef, xs = to_sympy(f)
+            eg, _ = to_sympy(g)
+            expected = from_sympy(sympy.gcd(ef, eg), xs)
+            assert poly_gcd(f, g).proportional_to(expected)
+
+    def test_degree_seven_squarefree_part(self):
+        f = parse_poly("x0^6 - x1^6 - x2^6 + x0^3*x1*x2^2", V3)
+        line = parse_poly("x0 - 2*x1 + 3*x2", V3)
+        assert (f * line * line).squarefree_part().proportional_to(f * line)
 
 
 class TestOrders:
