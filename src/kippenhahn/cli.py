@@ -45,7 +45,6 @@ CONFIG_DEFAULT_NAME = "kippenhahn.cfg"
 # config-file keys (dashes read as underscores) and their value types
 CONFIG_FIELDS = {
     "resolution": int,
-    "tol_geom": float,
     "max_terms": int,
     "max_bits": int,
     "out_dir": str,
@@ -93,8 +92,6 @@ def _build_config(args) -> tuple[VerifyConfig, str]:
     cfg = VerifyConfig(**values)
     if cfg.resolution < 3:
         raise ParseError("resolution must be at least 3")
-    if cfg.tol_geom <= 0:
-        raise ParseError("tolerances must be positive")
     return cfg, out_dir
 
 
@@ -315,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         if preset:
             sp.add_argument("--preset", help='built-in example (e.g. "fermat6")')
         sp.add_argument("--resolution", type=int, default=None)
-        sp.add_argument("--tol-geom", dest="tol_geom", type=float, default=None)
         sp.add_argument("--max-terms", dest="max_terms", type=int, default=None)
         sp.add_argument("--max-bits", dest="max_bits", type=int, default=None)
         sp.add_argument("--out-dir", dest="out_dir", default=None)

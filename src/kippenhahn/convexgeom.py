@@ -95,17 +95,6 @@ class ProjPoint:
     def float_coords(self):
         return tuple(float(c) for c in self.coords)
 
-    def normalized(self) -> "ProjPoint":
-        """Scale the first nonzero coordinate to 1 (exact coordinates only)."""
-        coords = self.coords
-        for c in coords:
-            if isinstance(c, AlgebraicReal):
-                return self
-        for c in coords:
-            if c:
-                return ProjPoint(*(x / c for x in coords))
-        raise ValueError("zero point")
-
     def polar(self) -> "ProjLine":
         """The polar line {y : x0 y0 + x1 y1 + x2 y2 = 0} of this point."""
         return ProjLine(self)
@@ -785,7 +774,6 @@ class VerifyConfig:
     """Knobs for the end-to-end verification run."""
 
     resolution: int = 720
-    tol_geom: float = 1e-9
     max_terms: int = 10_000
     max_bits: int = 1_000_000
     lemma_samples: int = 200
@@ -838,7 +826,7 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _certified_polar_crossing(body, point_coords, tol):
+def _certified_polar_crossing(body, point_coords):
     """Certificate that the polar of an outside point meets the interior of S.
 
     For exact coordinates on an oracle body the dual-set margin is evaluated
@@ -847,7 +835,7 @@ def _certified_polar_crossing(body, point_coords, tol):
     search.
     """
     line = ProjPoint(*point_coords).polar()
-    meet = line_meets_interior_dual(body, line, tol=tol)
+    meet = line_meets_interior_dual(body, line)
     exact = None
     if (
         meet.meets
@@ -927,7 +915,7 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
         (float(rng.uniform(-extent, extent)), float(rng.uniform(-extent, extent)))
         for _ in range(cfg.lemma_samples)
     ]
-    _, mismatches, degen = check_lemma_ws(lemma_body, samples, tol=cfg.tol_geom)
+    _, mismatches, degen = check_lemma_ws(lemma_body, samples)
     if mismatches:
         report.add(
             "lemma_ws",
@@ -991,10 +979,10 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
         affine = [s for s in pts if s.chart == "affine"]
         outside_witnesses = []
         for s in affine:
-            o = point_outside_W(body, s.float_coords(), tol=cfg.tol_geom)
+            o = point_outside_W(body, s.float_coords())
             if o.outside:
                 coords3 = (Fraction(1), s.y1, s.y2)
-                meet, exact = _certified_polar_crossing(body, coords3, cfg.tol_geom)
+                meet, exact = _certified_polar_crossing(body, coords3)
                 wit = {
                     "point": s.float_coords(),
                     "isolated": s.isolated,

@@ -368,9 +368,6 @@ class RationalInterval:
             return None
         return RationalInterval(lo, hi)
 
-    def hull(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalInterval)
@@ -490,12 +487,6 @@ class ComplexInterval:
             and other.im.lo < self.im.lo
             and self.im.hi < other.im.hi
         )
-
-    def mid(self) -> GaussianRational:
-        return GaussianRational(self.re.mid, self.im.mid)
-
-    def conjugate(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, -self.im)
 
     def to_complex(self) -> complex:
         return float(self.re.mid) + 1j * float(self.im.mid)
@@ -844,7 +835,9 @@ class AlgebraicReal:
         f = UniPoly(int(c) for c in poly)
         if f.degree < 1:
             raise ValueError("polynomial must have positive degree")
-        if f.gcd(f.derivative()).degree > 0:
+        # the chain divides by a nonconstant gcd(f, f'), lowering its head
+        chain = _sturm_chain(f)
+        if chain[0].degree < f.degree:
             raise ValueError("polynomial is not squarefree")
         coeffs = tuple(int(c) for c in f.coeffs)
         interval = RationalInterval(interval.lo, interval.hi)
@@ -854,7 +847,7 @@ class AlgebraicReal:
                 interval = RationalInterval(end, end)
                 break
         if interval.width > 0:
-            n = sturm_count(coeffs, interval.lo, interval.hi)
+            n = _variations(chain, interval.lo) - _variations(chain, interval.hi)
             if n != 1:
                 raise ValueError(
                     f"interval {interval} isolates {n} roots, expected exactly 1"

@@ -12,7 +12,6 @@ deterministic, so a Groebner basis is a pure function of the input ideal.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -107,6 +106,10 @@ def _divides(a, b):
     return True
 
 
+def _lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _merge_scaled(pa, ca, pb, cb):
     """ca*pa + cb*pb for sorted term lists; result sorted, zero-free."""
     out = []
@@ -150,7 +153,7 @@ def _shift(p, kshift, eshift):
 def _spoly(f, g, order: MonomialOrder):
     ef, cf = f[0][1], f[0][2]
     eg, cg = g[0][1], g[0][2]
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    lcm = _lcm(ef, eg)
     mf = tuple(a - b for a, b in zip(lcm, ef))
     mg = tuple(a - b for a, b in zip(lcm, eg))
     gamma = gcd(cf, cg)
@@ -208,49 +211,40 @@ def _interreduce(polys, order: MonomialOrder):
     return out
 
 
-def _gm_update(basis, pairs, new_index):
-    """Gebauer-Moeller pair update when basis[new_index] joins the basis.
+def _gm_update(basis, pairs, order: MonomialOrder):
+    """Gebauer-Moeller update of the pair table when the last element of
+    ``basis`` joins it.
 
-    Implements Buchberger's coprimality and chain criteria; ``pairs`` is the
-    surviving set of index pairs.
+    ``pairs`` maps each surviving index pair (i, j), i < j, to its lcm and
+    its selection key (lcm degree, then ``order.key(lcm)``).  Applies
+    Buchberger's coprimality and chain criteria and returns the new table.
     """
     lm = [g[0][1] for g in basis]
-    t = new_index
+    t = len(basis) - 1
     lt = lm[t]
 
-    def lcm(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    def mul(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    kept = set()
-    for (i, j) in pairs:
-        lij = lcm(lm[i], lm[j])
-        if (
-            not _divides(lt, lij)
-            or lcm(lm[i], lt) == lij
-            or lcm(lm[j], lt) == lij
-        ):
-            kept.add((i, j))
+    kept = {
+        (i, j): (lij, key)
+        for (i, j), (lij, key) in pairs.items()
+        if not _divides(lt, lij)
+        or _lcm(lm[i], lt) == lij
+        or _lcm(lm[j], lt) == lij
+    }
 
     # group candidate pairs (i, t) by their lcm and keep one representative
     # of each minimal lcm; drop coprime-lead pairs entirely
     by_lcm = {}
     for i in range(t):
-        if basis[i] is None:
-            continue
-        by_lcm.setdefault(lcm(lm[i], lt), []).append(i)
+        by_lcm.setdefault(_lcm(lm[i], lt), []).append(i)
     minimal = []
     for L in sorted(by_lcm, key=lambda m: (sum(m), m)):
-        if all(not _divides(M, L) or M == L for M in minimal):
+        if not any(_divides(M, L) for M in minimal):
             minimal.append(L)
-    new_pairs = set()
     for L in minimal:
-        if any(mul(lm[i], lt) == L for i in by_lcm[L]):
+        if any(tuple(map(sum, zip(lm[i], lt))) == L for i in by_lcm[L]):
             continue  # coprime leading monomials: S-pair reduces to zero
-        new_pairs.add((min(by_lcm[L]), t))
-    return kept | new_pairs
+        kept[(min(by_lcm[L]), t)] = (L, (sum(L), order.key(L)))
+    return kept
 
 
 def buchberger(
@@ -261,10 +255,12 @@ def buchberger(
     """Reduced, monic Groebner basis under the ideal's monomial order, sorted
     by decreasing leading term.
 
-    Pair selection follows the normal strategy (smallest lcm degree first,
-    ties by monomial order then pair index); the Gebauer-Moeller criteria
-    prune the pair queue.  Raises ResourceLimitError when the basis exceeds
-    ``max_terms`` stored terms or any coefficient exceeds ``max_bits`` bits.
+    One table maps each surviving critical pair to its lcm and selection key;
+    the Gebauer-Moeller criteria prune it as the basis grows.  Pair selection
+    follows the normal strategy: the entry with the least (lcm degree, lcm
+    under the order, pair index) is reduced next.  Raises ResourceLimitError
+    when the basis exceeds ``max_terms`` stored terms or any coefficient
+    exceeds ``max_bits`` bits.
     """
     order = ideal.order
     variables = ideal.variables
@@ -273,32 +269,16 @@ def buchberger(
         raise ValueError("all generators are zero")
 
     basis = []
-    pairs: set = set()
+    pairs: dict = {}
     for g in sorted(gens, key=lambda p: p[0][0]):
-        r = _normal_form_internal(g, [b for b in basis if b], order)
+        r = _normal_form_internal(g, basis, order)
         if r:
             basis.append(r)
-            pairs = _gm_update(basis, pairs, len(basis) - 1)
+            pairs = _gm_update(basis, pairs, order)
 
-    heap = []
-    in_heap = set()
-
-    def push_pairs():
-        for (i, j) in pairs:
-            if (i, j) not in in_heap:
-                lcm = tuple(
-                    max(a, b) for a, b in zip(basis[i][0][1], basis[j][0][1])
-                )
-                heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
-                in_heap.add((i, j))
-
-    push_pairs()
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
-            continue
-        pairs.discard((i, j))
-        in_heap.discard((i, j))
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (pairs[ij][1], ij))
+        del pairs[(i, j)]
         s = _spoly(basis[i], basis[j], order)
         if not s:
             continue
@@ -316,8 +296,7 @@ def buchberger(
             raise ResourceLimitError(
                 f"coefficient reached {maxbits} bits (cap {max_bits})"
             )
-        pairs = _gm_update(basis, pairs, len(basis) - 1)
-        push_pairs()
+        pairs = _gm_update(basis, pairs, order)
 
     # minimal basis: drop elements whose leading monomial is divisible by
     # another's
@@ -342,28 +321,19 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> Mult
     return _to_multipoly(r, f.variables, monic=False)
 
 
-def eliminate(ideal: Ideal, elim_vars, **caps) -> list[MultiPoly]:
-    """Basis of the elimination ideal: the Groebner elements free of elim_vars.
+def eliminate(ideal: Ideal, **caps) -> list[MultiPoly]:
+    """Basis of the elimination ideal: the reduced Groebner elements free of
+    the variables the ideal's order eliminates.
 
-    The ideal's order must be the block-elimination order placing exactly the
-    variables in ``elim_vars`` first.
+    Those are the first ``ideal.order.split`` variables, the leading block of
+    an ``elimination_order``; grevlex and lex eliminate none, so the whole
+    basis is returned.
     """
-    elim_vars = sorted(set(elim_vars))
-    if elim_vars:
-        order = ideal.order
-        if order.kind != "block" or elim_vars != list(range(order.split)):
-            raise ValueError(
-                "ideal must carry the block order eliminating exactly these variables"
-            )
-    gb = buchberger(ideal, **caps)
-    if not elim_vars:
-        return gb
     split = ideal.order.split
-    kept = []
-    for g in gb:
-        if all(all(e[k] == 0 for k in range(split)) for e in g.terms):
-            kept.append(g)
-    return kept
+    return [
+        g for g in buchberger(ideal, **caps)
+        if not any(any(e[:split]) for e in g.terms)
+    ]
 
 
 def dual_curve(
@@ -407,8 +377,7 @@ def dual_curve(
         gens.append(lift(p.diff(i)) - yi)
 
     basis = eliminate(
-        Ideal(gens, elimination_order(6, 3)), [0, 1, 2],
-        max_terms=max_terms, max_bits=max_bits,
+        Ideal(gens, elimination_order(6, 3)), max_terms=max_terms, max_bits=max_bits
     )
     if len(basis) != 1:
         raise NonPrincipalIdealError(

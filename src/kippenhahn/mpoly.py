@@ -463,7 +463,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
     t = MultiPoly.variable(ring, 0)
     [lcm] = eliminate(
-        Ideal([t * lift(f), (1 - t) * lift(g)], elimination_order(n + 1, 1)), [0]
+        Ideal([t * lift(f), (1 - t) * lift(g)], elimination_order(n + 1, 1))
     )
     lcm = MultiPoly(f.variables, {e[1:]: c for e, c in lcm.terms.items()})
     return (f * g).divexact(lcm).normalized()

@@ -66,10 +66,12 @@ def sturm_isolate(f: UniPoly) -> list[AlgebraicReal]:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    fs = f.squarefree_part()
+    # the chain of f divided by gcd(f, f') heads with the squarefree part and
+    # counts distinct roots at every point that is not one
+    chain = _sturm_chain(f)
+    fs = chain[0]
     if fs.degree <= 0:
         return []
-    chain = _sturm_chain(fs)
     bound = fs.root_bound()
     out: list[AlgebraicReal] = []
     poly = fs.int_coeffs()

@@ -197,7 +197,6 @@ class TestVerify:
 SHOW_CONFIG_DEFAULTS = (
     "configuration:\n"
     "  resolution = 720\n"
-    "  tol_geom = 1e-09\n"
     "  max_terms = 10000\n"
     "  max_bits = 1000000\n"
     "  lemma_samples = 200\n"
@@ -216,11 +215,11 @@ class TestShowConfig:
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "kippenhahn.cfg"
-        cfg.write_text("resolution = 100\ntol-geom = 1e-7\n")
+        cfg.write_text("resolution = 100\nmax-bits = 5000\n")
         monkeypatch.setenv("KIPPENHAHN_CONFIG", str(cfg))
         assert main(["--show-config"]) == 0
         out = capsys.readouterr().out
-        assert "resolution = 100" in out and "tol_geom = 1e-07" in out
+        assert "resolution = 100" in out and "max_bits = 5000" in out
         # flags beat the file
         assert main(["dual", "--input", "/nonexistent", "--resolution", "50"]) == 2
 
@@ -229,9 +228,9 @@ class TestShowConfig:
         [
             ("resolution = 100\nresolutoin = 50\n", ["line 2", "'resolutoin'"]),
             ("# comment\n\nresolution = abc\n", ["line 3", "'resolution'", "'abc'"]),
-            ("tol-geom = tiny\n", ["line 1", "'tol-geom'", "'tiny'"]),
+            ("tol-geom = 1e-7\n", ["line 1", "unknown config key", "'tol-geom'"]),
         ],
-        ids=["unknown-key", "bad-int", "bad-float"],
+        ids=["unknown-key", "bad-int", "removed-key"],
     )
     def test_config_file_errors(self, tmp_path, capsys, monkeypatch, text, words):
         cfg = tmp_path / "kippenhahn.cfg"
@@ -242,6 +241,13 @@ class TestShowConfig:
         assert captured.out == ""
         for w in words:
             assert w in captured.err
+
+    def test_removed_tolerance_flag(self, capsys):
+        # the geometric tolerance is the constant GEOM_TOL; no flag sets it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--preset", "fermat6", "--tol-geom", "1e-7"])
+        assert exc.value.code == 2
+        assert "--tol-geom" in capsys.readouterr().err
 
     def test_invalid_resolution(self, tmp_path, capsys):
         f = tmp_path / "conic.poly"
