@@ -125,9 +125,7 @@ def _infer_variables(text: str):
 def _load_curve_poly(args) -> MultiPoly:
     """Polynomial from --input (polynomial or matrix file) or --preset."""
     if getattr(args, "preset", None):
-        if args.preset != "fermat6":
-            raise ParseError(f"unknown preset {args.preset!r}")
-        return fermat6_body().curve_poly
+        return _load_body(args).curve_poly
     if not args.input:
         raise ParseError("need --input FILE or --preset NAME")
     text = _read_input(args.input)
@@ -223,13 +221,15 @@ def cmd_plot(args) -> int:
         raise ParseError(f"unknown panel {panel!r}; choose from {', '.join(PANELS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if getattr(args, "preset", None):
-        body = fermat6_body()
-        stem = args.preset
-    else:
-        body = _load_body(args)
-        stem = Path(args.input).stem
+    body = _load_body(args)
+    stem = args.preset or Path(args.input).stem
     p = body.curve_poly
+    if panel in ("dual-curve", "kippenhahn"):
+        try:
+            q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
+        except ValueError as exc:  # degree below 2, or not squarefree
+            print(f"invalid curve: {exc}", file=sys.stderr)
+            return 2
 
     extra_files = []
     if panel == "supports":
@@ -240,7 +240,6 @@ def cmd_plot(args) -> int:
             p, bbox=(-half, half, -half, half), caption=f"{stem}: determinant curve"
         )
     elif panel == "dual-curve":
-        q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
         pts = [
             s.float_coords()
             for s in real_singular_points(q)
@@ -250,7 +249,6 @@ def cmd_plot(args) -> int:
             q, singular_points=pts, caption=f"{stem}: dual curve"
         )
     else:  # kippenhahn
-        q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
         singular = [
             s.float_coords()
             for s in real_singular_points(q)

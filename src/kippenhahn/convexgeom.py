@@ -173,10 +173,6 @@ class PencilBody:
             self._curve_poly = pencil_det(self.pencil)
         return self._curve_poly
 
-    def centroid(self):
-        c1, c2 = self.pencil.centroid()
-        return c1, c2
-
     def translated_to_centroid(self) -> "PencilBody":
         c1, c2 = self.pencil.centroid()
         if c1 == 0 and c2 == 0:
@@ -193,15 +189,15 @@ class PencilBody:
         B = self.pencil.combine_exact(Fraction(direction[0]), Fraction(direction[1]))
         return UniPoly(det_along_line(A, B))
 
-    def is_degenerate(self, samples: int = 64, tol: float = GEOM_TOL) -> bool:
+    def is_degenerate(self) -> bool:
         """True when the numerical range has empty interior (point or segment)."""
         if self.pencil.n == 1:
             return True
-        pts = [y for _, y, _ in sample_numrange_boundary(self.pencil, samples)]
+        pts = [y for _, y, _ in sample_numrange_boundary(self.pencil, 64)]
         arr = np.array(pts)
         centered = arr - arr.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False)
-        return bool(sv[1] <= tol * max(1.0, sv[0]))
+        return bool(sv[1] <= GEOM_TOL * max(1.0, sv[0]))
 
 
 class OracleBody:
@@ -242,7 +238,7 @@ class OracleBody:
         point = (UniPoly([1]), e[0] + direction[0] * T, e[1] + direction[1] * T)
         return self.curve_poly.evaluate(point)
 
-    def is_degenerate(self, samples: int = 64, tol: float = GEOM_TOL) -> bool:
+    def is_degenerate(self) -> bool:
         return False
 
 
@@ -276,13 +272,13 @@ class OutsideResult:
     direction: tuple[float, float] | None
 
 
-def _refine_minimum(f, a, b, iters: int = 60):
-    """Golden-section minimum of f on [a, b]."""
+def _refine_minimum(f, a, b):
+    """Golden-section minimum of f on [a, b], 60 steps."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
@@ -305,15 +301,16 @@ def _support_sweep(body, m: int) -> tuple[list[float], list[float]]:
     return thetas, np.linalg.eigvalsh(stack)[:, 0].tolist()
 
 
-def point_outside_W(body, y, tol: float = GEOM_TOL, ndirs: int = 96) -> OutsideResult:
+def point_outside_W(body, y) -> OutsideResult:
     """Decide whether y lies outside the convex set via supporting lines.
 
     Minimizes <x(theta), y> - h(x(theta)) over the unit circle by grid
-    sampling plus golden-section refinement of each local minimum; negative
-    minimum means a separating direction, positive means every supporting
-    half-plane contains y.
+    sampling at 96 angles plus golden-section refinement of each local
+    minimum; negative minimum means a separating direction, positive means
+    every supporting half-plane contains y.
     """
     y1, y2 = float(y[0]), float(y[1])
+    ndirs = 96
 
     def gap(theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)
@@ -332,9 +329,9 @@ def point_outside_W(body, y, tol: float = GEOM_TOL, ndirs: int = 96) -> OutsideR
             xm, vm = _refine_minimum(gap, a, b)
             if vm < best_val:
                 best_theta, best_val = xm, vm
-    if best_val < -tol:
+    if best_val < -GEOM_TOL:
         return OutsideResult(True, best_val, (math.cos(best_theta), math.sin(best_theta)))
-    if best_val > tol:
+    if best_val > GEOM_TOL:
         return OutsideResult(False, best_val, None)
     return OutsideResult(None, best_val, None)
 
@@ -348,7 +345,7 @@ class MeetResult:
     point: tuple[float, float] | None
 
 
-def line_meets_interior_dual(body, line: ProjLine, tol: float = GEOM_TOL) -> MeetResult:
+def line_meets_interior_dual(body, line: ProjLine) -> MeetResult:
     """Does the affine part of the line contain an interior point of S = W*?
 
     The membership margin 1 + h(s) is concave along the line, so a golden
@@ -373,9 +370,9 @@ def line_meets_interior_dual(body, line: ProjLine, tol: float = GEOM_TOL) -> Mee
     tm, _ = _refine_minimum(lambda t: -m(t), -span, span)
     vm = m(tm)
     pt = (base[0] + tm * d[0], base[1] + tm * d[1])
-    if vm > tol:
+    if vm > GEOM_TOL:
         return MeetResult(True, vm, pt)
-    if vm < -tol:
+    if vm < -GEOM_TOL:
         return MeetResult(False, vm, None)
     return MeetResult(None, vm, None)
 
@@ -395,7 +392,7 @@ class LemmaSample:
         return self.degenerate or self.outside == self.meets
 
 
-def check_lemma_ws(body, samples, tol: float = GEOM_TOL):
+def check_lemma_ws(body, samples):
     """Point-outside-W versus polar-meets-interior-of-dual, sample by sample.
 
     The body must contain the origin as an interior point (translate to the
@@ -405,8 +402,8 @@ def check_lemma_ws(body, samples, tol: float = GEOM_TOL):
     mismatches = []
     degenerate = 0
     for y in samples:
-        o = point_outside_W(body, y, tol=tol)
-        l = line_meets_interior_dual(body, ProjPoint.from_affine(*y).polar(), tol=tol)
+        o = point_outside_W(body, y)
+        l = line_meets_interior_dual(body, ProjPoint.from_affine(*y).polar())
         rec = LemmaSample((float(y[0]), float(y[1])), o.outside, l.meets)
         out.append(rec)
         if rec.degenerate:
@@ -903,7 +900,7 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
         )
     except ResourceLimitError as exc:
         report.add("dual_curve", "fail", f"resource cap: {exc}", witnesses=[str(exc)])
-    except NonPrincipalIdealError as exc:
+    except (NonPrincipalIdealError, ValueError) as exc:  # ValueError: not squarefree
         report.add("dual_curve", "fail", str(exc), witnesses=[str(exc)])
 
     # Lemma on the centroid-translated body (interior origin guaranteed)

@@ -914,8 +914,8 @@ class AlgebraicReal:
         object.__setattr__(out, "interval", interval)
         return out
 
-    def to_float(self, eps=Fraction(1, 10**17)) -> float:
-        return float(self.refine(eps).mid)
+    def to_float(self) -> float:
+        return float(self.refine(Fraction(1, 10**17)).mid)
 
     def __float__(self):
         return self.to_float()

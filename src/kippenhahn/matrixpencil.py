@@ -83,28 +83,6 @@ class HermitianMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def add(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def scale(self, c) -> "HermitianMatrix":
-        c = Fraction(c)
-        return HermitianMatrix([[v * c for v in row] for row in self.entries])
-
-    def shift(self, c) -> "HermitianMatrix":
-        """self + c * identity for rational c."""
-        c = Fraction(c)
-        return HermitianMatrix(
-            [
-                [v + c if j == k else v for k, v in enumerate(row)]
-                for j, row in enumerate(self.entries)
-            ]
-        )
-
     def trace(self) -> Fraction:
         return sum((self.entries[j][j].re for j in range(self.n)), Fraction(0))
 
@@ -114,15 +92,27 @@ class HermitianMatrix:
         )
 
     def is_positive_definite(self) -> bool:
-        """Exact Sylvester criterion: all leading principal minors positive."""
-        for k in range(1, self.n + 1):
-            minor = _gaussian_det(
-                [row[:k] for row in self.entries[:k]]
-            )
-            if minor.im:
-                raise ValueError("hermitian minor came out complex")
-            if minor.re <= 0:
+        """Exact Sylvester criterion from one elimination without row swaps.
+
+        The k-th pivot is D_k / D_(k-1) for the leading principal minors D_k
+        (Horn-Johnson, Matrix Analysis, Thm 7.2.5), so every minor is positive
+        exactly when every pivot is.  Row k is reduced by the pivot rows above
+        it only when its own pivot is due, and the first pivot that is not
+        positive decides.
+        """
+        reduced = []  # (pivot row, 1 / pivot) for the rows above
+        for k, row in enumerate(self.entries):
+            r = list(row)
+            for c, (u, inv) in enumerate(reduced):
+                if not r[c].is_zero:
+                    f = r[c] * inv
+                    r = [x if y.is_zero else x - f * y for x, y in zip(r, u)]
+            p = r[k]
+            if p.im:
+                raise ValueError("hermitian pivot came out complex")
+            if p.re <= 0:
                 return False
+            reduced.append((r, 1 / p.re))
         return True
 
     def __repr__(self):
@@ -178,7 +168,9 @@ class HermitianPencil:
 
     def translated(self, c1, c2) -> "HermitianPencil":
         """Pencil of (K - c1, L - c2); shifts the numerical range by (-c1, -c2)."""
-        return HermitianPencil(self.K.shift(-Fraction(c1)), self.L.shift(-Fraction(c2)))
+        return HermitianPencil(
+            self.combine_exact(1, 0, -Fraction(c1)), self.combine_exact(0, 1, -Fraction(c2))
+        )
 
     def _floats(self):
         cache = self._float_cache
@@ -194,8 +186,18 @@ class HermitianPencil:
 
     def combine_exact(self, x1, x2, shift=0) -> HermitianMatrix:
         """shift * identity + x1 K + x2 L over exact rationals."""
-        return self.K.scale(Fraction(x1)).add(self.L.scale(Fraction(x2))).shift(
-            Fraction(shift)
+        x1, x2, shift = Fraction(x1), Fraction(x2), Fraction(shift)
+        return HermitianMatrix(
+            [
+                [
+                    GaussianRational(
+                        x1 * k.re + x2 * l.re + (shift if j == c else 0),
+                        x1 * k.im + x2 * l.im,
+                    )
+                    for c, (k, l) in enumerate(zip(rk, rl))
+                ]
+                for j, (rk, rl) in enumerate(zip(self.K.entries, self.L.entries))
+            ]
         )
 
     def __repr__(self):
@@ -252,7 +254,7 @@ def _det_poly(A, B) -> UniPoly:
     return UniPoly.interpolate(range(len(ys)), ys)
 
 
-def pencil_det(P: HermitianPencil, variables=("x0", "x1", "x2")) -> MultiPoly:
+def pencil_det(P: HermitianPencil) -> MultiPoly:
     """Exact determinant polynomial det(x0*1 + x1*K + x2*L).
 
     Homogeneous of degree n with real rational coefficients.  Computed from
@@ -273,7 +275,7 @@ def pencil_det(P: HermitianPencil, variables=("x0", "x1", "x2")) -> MultiPoly:
             if a + b > n:
                 raise ValueError("pencil determinant is not homogeneous of degree n")
             terms[(a, n - a - b, b)] = c
-    return MultiPoly(variables, terms)
+    return MultiPoly(("x0", "x1", "x2"), terms)
 
 
 def det_along_line(A: HermitianMatrix, B: HermitianMatrix):
@@ -377,25 +379,23 @@ def sample_numrange_boundary(P: HermitianPencil, m: int):
     ]
 
 
-def spectrahedron_contains(
-    P: HermitianPencil, pt, strict: bool = False, tol: float = GEOM_TOL
-) -> bool:
+def spectrahedron_contains(P: HermitianPencil, pt, strict: bool = False) -> bool:
     """Membership in S = {x : 1 + x1 K + x2 L positive semidefinite}."""
     x1, x2 = float(pt[0]), float(pt[1])
     if x1 == 0.0 and x2 == 0.0:
         return True
     lam = 1.0 + support_function(P, (x1, x2))
-    return lam > tol if strict else lam >= -tol
+    return lam > GEOM_TOL if strict else lam >= -GEOM_TOL
 
 
-def dual_boundary_point(P: HermitianPencil, x, tol: float = GEOM_TOL):
+def dual_boundary_point(P: HermitianPencil, x):
     """Boundary point -(x1, x2)/h(x) of the dual convex set.
 
     Requires h(x) < 0, i.e. the origin interior to the numerical range;
     otherwise raises ValueError("origin not interior").
     """
     h = support_function(P, x)
-    if h >= -tol:
+    if h >= -GEOM_TOL:
         raise ValueError("origin not interior")
     return (-float(x[0]) / h, -float(x[1]) / h)
 

@@ -335,10 +335,11 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
     return verdict
 
 
-def _ring_sampling(q_aff: MultiPoly, c1, c2, boxes, delta=Fraction(1, 64)) -> bool | None:
+def _ring_sampling(q_aff: MultiPoly, c1, c2, boxes) -> bool | None:
     """False when exact signs of q sampled on two square rings around the
     point change or vanish, else None.  A heuristic: a sign change at
     distance delta need not come from a branch through the point."""
+    delta = Fraction(1, 64)
     # a coarse center keeps the sample denominators small
     m1 = _coord_interval(c1, COORD_EPS, boxes).mid.limit_denominator(2**32)
     m2 = _coord_interval(c2, COORD_EPS, boxes).mid.limit_denominator(2**32)

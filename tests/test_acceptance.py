@@ -244,7 +244,7 @@ def test_criterion_8_lemma_ws_suite():
                 (rng.uniform(-3 * extent, 3 * extent), rng.uniform(-3 * extent, 3 * extent))
                 for _ in range(200)
             ]
-            _, mismatches, _ = check_lemma_ws(body, samples, tol=1e-9)
+            _, mismatches, _ = check_lemma_ws(body, samples)
             assert mismatches == [], f"pencil {tested_pencils}: {mismatches[:3]}"
             tested_pencils += 1
 

@@ -40,6 +40,10 @@ TWO_CONICS_TABLE = (
     "affine        [1.41421356237, 1.41421356237]                                  1 no        2\n"
 )
 
+# A = diag(1, 1, i, 0): p = x0 (x0 + x1)^2 (x0 + x2) is not squarefree
+SQUARED_PENCIL = "n 4\nA\n1 0 0 0\n0 1 0 0\n0 0 i 0\n0 0 0 0\n"
+NOT_SQUAREFREE = "dual_curve expects a squarefree polynomial"
+
 APPENDIX_P = "x0^3 - 3/4*x2*x0^2 - 2*x1^2*x0 - 21/16*x2^2*x0 + 55/64*x2^3 - 3/2*x1^2*x2"
 
 
@@ -193,6 +197,20 @@ class TestVerify:
         assert main(["verify", "--input", str(f)]) == 0
         assert "DEGENERATE" in capsys.readouterr().out
 
+    def test_curve_not_squarefree_fails_dual_row(self, tmp_path, capsys):
+        f = tmp_path / "squared.pencil"
+        f.write_text(SQUARED_PENCIL)
+        assert main(["verify", "--input", str(f), "--resolution", "24"]) == 1
+        captured = capsys.readouterr()
+        # status of each check, by name; witness lines are indented
+        rows = dict(l.split()[1::-1] for l in captured.out.splitlines()[1:] if l[0] != " ")
+        assert f"FAIL       dual_curve                   {NOT_SQUAREFREE}\n" in captured.out
+        assert f"           witness: {NOT_SQUAREFREE}\n" in captured.out
+        # the rest of the report still runs
+        assert rows["lemma_ws"] == rows["observation2_lines"] == "PASS"
+        assert rows["hull_hausdorff"] == "PASS"
+        assert captured.err == ""
+
 
 SHOW_CONFIG_DEFAULTS = (
     "configuration:\n"
@@ -282,6 +300,25 @@ class TestPlot:
         csv1 = (out1 / "parabola_kippenhahn.csv").read_bytes()
         csv2 = (out2 / "parabola_kippenhahn.csv").read_bytes()
         assert csv1 == csv2
+
+    @pytest.mark.parametrize("panel", ["dual-curve", "kippenhahn"])
+    def test_curve_not_squarefree_exit_2(self, tmp_path, capsys, panel):
+        f = tmp_path / "squared.pencil"
+        f.write_text(SQUARED_PENCIL)
+        args = ["plot", "--input", str(f), "--panel", panel, "--out-dir", str(tmp_path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid curve: {NOT_SQUAREFREE}\n"
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_unknown_preset_exit_2(self, tmp_path, capsys):
+        args = ["plot", "--preset", "nosuch", "--panel", "supports", "--out-dir", str(tmp_path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: unknown preset 'nosuch'\n"
+        assert not list(tmp_path.glob("*.svg"))
 
     def test_empty_cloud_valid_svg(self):
         svg = svgfig.render_kippenhahn([], caption="empty")

@@ -109,7 +109,7 @@ class TestPointOutside:
 
     def test_centroid_inside(self):
         body = eq3_body()
-        c = body.centroid()
+        c = body.pencil.centroid()
         res = point_outside_W(body, (float(c[0]), float(c[1])))
         assert res.outside is False
 

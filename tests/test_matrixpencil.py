@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kippenhahn import matrixpencil
 from kippenhahn.exactnum import GaussianRational, ParseError, UniPoly
@@ -69,6 +71,45 @@ def sympy_matrix(M: HermitianMatrix) -> sympy.Matrix:
     )
 
 
+_small = st.integers(-3, 3)
+_gaussian = st.builds(GaussianRational, _small, _small)
+_rational = st.fractions(-4, 4, max_denominator=6)
+
+
+@st.composite
+def _hermitian(draw, n):
+    rows = [[GaussianRational(draw(_small)) for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            rows[j][k] = draw(_gaussian)
+            rows[k][j] = rows[j][k].conjugate()
+    return rows
+
+
+@st.composite
+def _definiteness_cases(draw):
+    """Gram matrices B B^H of full and of deficient rank, Hermitian matrices
+    with a shifted diagonal, and Hermitian matrices with a zero (0, 0) entry."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gram", "shifted", "zero corner"]))
+    if kind == "gram":
+        r = draw(st.integers(1, n))  # r < n: singular
+        B = [[draw(_gaussian) for _ in range(r)] for _ in range(n)]
+        rows = [
+            [sum((x * y.conjugate() for x, y in zip(bj, bk)), GaussianRational(0)) for bk in B]
+            for bj in B
+        ]
+    else:
+        rows = draw(_hermitian(n))
+        if kind == "shifted":
+            s = draw(st.integers(-4, 16))
+            for j in range(n):
+                rows[j][j] += s
+        else:
+            rows[0][0] = GaussianRational(0)
+    return HermitianMatrix(rows)
+
+
 class TestHermitianMatrix:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
@@ -86,6 +127,32 @@ class TestHermitianMatrix:
         z = GaussianRational(0, Fraction(1, 2))
         M = HermitianMatrix([[2, z], [z.conjugate(), 2]])
         assert M.is_positive_definite()
+
+    @settings(max_examples=120, deadline=None)
+    @given(_definiteness_cases())
+    def test_positive_definite_is_sylvester(self, M):
+        # oracle: every leading principal minor, each its own determinant
+        minors = [
+            matrixpencil._gaussian_det([row[:k] for row in M.entries[:k]])
+            for k in range(1, M.n + 1)
+        ]
+        assert not any(d.im for d in minors)
+        assert M.is_positive_definite() == all(d.re > 0 for d in minors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(_hermitian(n), _hermitian(n))),
+        _rational,
+        _rational,
+        _rational,
+    )
+    def test_combine_exact_entries(self, KL, x1, x2, s):
+        P = HermitianPencil(*(HermitianMatrix(rows) for rows in KL))
+        M = P.combine_exact(x1, x2, s)
+        assert M.n == P.n
+        for j in range(P.n):
+            for k in range(P.n):
+                assert M[j, k] == x1 * P.K[j, k] + x2 * P.L[j, k] + (s if j == k else 0)
 
 
 class TestPencilDet:
@@ -360,7 +427,7 @@ class TestPencilFiles:
             # zero pivot at t = 0, which forces a row swap
             (HermitianMatrix([[0, 1], [1, 0]]), HermitianMatrix.identity(2), (-1, 0, 1)),
             # B = 0: a constant
-            (eq3_pencil().K.shift(2), HermitianMatrix.zeros(3), 0),
+            (eq3_pencil().combine_exact(1, 0, 2), HermitianMatrix.zeros(3), 0),
             # rank-1 B: the degree drops to 1
             (eq3_pencil().L, HermitianMatrix([[1, i, 0], [-i, 1, 0], [0, 0, 0]]), 1),
             # singular A: zero constant term
