@@ -219,8 +219,6 @@ def cmd_plot(args) -> int:
     panel = args.panel
     if panel not in PANELS:
         raise ParseError(f"unknown panel {panel!r}; choose from {', '.join(PANELS)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     body = _load_body(args)
     stem = args.preset or Path(args.input).stem
     p = body.curve_poly
@@ -231,6 +229,8 @@ def cmd_plot(args) -> int:
             print(f"invalid curve: {exc}", file=sys.stderr)
             return 2
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     extra_files = []
     if panel == "supports":
         svg = svgfig.render_supports(body, min(cfg.resolution, 240), caption=f"{stem}: supporting lines")

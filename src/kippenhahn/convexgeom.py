@@ -1053,11 +1053,11 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
             "is decided by the singular-point checks above",
         )
 
-    _add_unchecked(report)
+    _add_unchecked(report, dual_failed=q is None)
     return report
 
 
-def _add_unchecked(report: VerificationReport):
+def _add_unchecked(report: VerificationReport, dual_failed: bool = False):
     report.add(
         "complex_singular_count",
         "unchecked",
@@ -1067,8 +1067,12 @@ def _add_unchecked(report: VerificationReport):
     report.add(
         "dual_irreducibility",
         "unchecked",
-        "irreducibility of the dual polynomial is not certified; only "
-        "squarefreeness is verified",
+        "irreducibility of the dual polynomial is not certified; "
+        + (
+            "no dual polynomial was computed"
+            if dual_failed
+            else "only squarefreeness is verified"
+        ),
     )
 
 

@@ -4,16 +4,19 @@ tangency ideal.
 
 The monomial order is a parameter of the computation, not of a polynomial:
 an ``Ideal`` holds it (grevlex by default) and ``buchberger`` returns the
-reduced basis under it as a plain list of MultiPoly.  Internally polynomials
-are kept over the integers with per-step content stripping; the public
-surface speaks MultiPoly over Fraction.  Reduction and pair selection are
-deterministic, so a Groebner basis is a pure function of the input ideal.
+reduced basis under it as a plain list of MultiPoly.  Internally a term is
+three Python ints: the exponent vector and its key under the order, each
+packed into fixed-width bit fields of one int, and an integer coefficient
+(content stripped per step); the public surface speaks MultiPoly over
+Fraction.  Reduction and pair selection are deterministic, so a Groebner
+basis is a pure function of the input ideal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .mpoly import MultiPoly, MonomialOrder, elimination_order, grevlex_order
 
@@ -59,29 +62,80 @@ class Ideal:
         return f"Ideal({len(self.generators)} generators over {self.variables})"
 
 
-# --- internal integer-coefficient representation ---------------------------
+# --- internal representation: packed monomials, integer coefficients -------
 #
 # A polynomial is a list of (key, exp, coef) sorted by key descending, where
-# key = order.key(exp) and coef is a Python int.  Content is stripped and the
-# leading coefficient is kept positive.
+# coef is a Python int and exp and key are packed monomials (Monagan and
+# Pearce, J. Symb. Comp. 46, 2011): the exponent vector, and the rows of
+# ``order.key`` of it, each written into FIELD-bit fields of one int, the
+# first entry in the most significant field.  Every total degree stays below
+# LIMIT, so every field of exp and of key does (no key row exceeds the total
+# degree) and the top bit of each field, its guard bit, stays clear.  Then a
+# monomial product is one addition on exp and one on key, packed ints compare
+# as the tuples they pack, b - a has no guard bit set exactly when a divides b,
+# and exp % DEG_MOD is the total degree.  Content is stripped and the leading
+# coefficient is kept positive.  Beside each polynomial of a basis the code
+# keeps its top (largest total) degree, which bounds the degree of any
+# multiple before it is formed: reaching LIMIT raises ResourceLimitError.
+
+FIELD = 16
+LIMIT = 1 << (FIELD - 1)
+DEG_MOD = (1 << FIELD) - 1
 
 
-def _to_internal(f: MultiPoly, order: MonomialOrder):
+class _Packing:
+    """Packed exponent vectors of one ring and packed keys under one order."""
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+        self.shifts = [FIELD * i for i in reversed(range(order.nvars))]
+        self.guard = sum(LIMIT << s for s in self.shifts)
+
+    @staticmethod
+    def pack(values):
+        x = 0
+        for v in values:
+            x = (x << FIELD) | v
+        return x
+
+    def unpack(self, x):
+        return tuple((x >> s) & (LIMIT - 1) for s in self.shifts)
+
+    def key(self, exp):
+        """Packed key of a packed exponent vector."""
+        return self.pack(self.order.key(self.unpack(exp)))
+
+
+def _degree_cap(degree):
+    return ResourceLimitError(
+        f"a monomial of total degree {degree} exceeds the packed limit {LIMIT - 1}"
+    )
+
+
+def _to_internal(f: MultiPoly, pk: _Packing):
     if f.is_zero:
         return []
     den = 1
     for c in f.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    terms = [
-        (order.key(e), e, int(c * den)) for e, c in f.terms.items()
-    ]
+    terms = []
+    for e, c in f.terms.items():
+        if sum(e) >= LIMIT:
+            raise _degree_cap(sum(e))
+        terms.append((pk.pack(pk.order.key(e)), pk.pack(e), int(c * den)))
     terms.sort(key=lambda t: t[0], reverse=True)
     return _strip_content(terms)
 
 
-def _to_multipoly(p, variables, monic=True) -> MultiPoly:
+def _to_multipoly(p, variables, pk: _Packing, monic=True) -> MultiPoly:
     lead = p[0][2] if p and monic else 1
-    return MultiPoly(variables, {e: Fraction(c, lead) for _, e, c in p})
+    return MultiPoly(variables, {pk.unpack(e): Fraction(c, lead) for _, e, c in p})
+
+
+def _head(p):
+    """A nonzero polynomial as a reducer: its leading key, exponent and
+    coefficient, its top degree, and the polynomial."""
+    return p[0] + (max(e % DEG_MOD for _, e, _ in p), p)
 
 
 def _strip_content(p):
@@ -99,15 +153,17 @@ def _strip_content(p):
     return p
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def _divides(a, b, guard):
+    """Whether packed exponent vector a divides b: no field of b - a borrows."""
+    return not (b - a) & guard
 
 
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _lcm(a, b, guard):
+    """Fieldwise maximum of two packed exponent vectors: the guard bits of
+    (a | guard) - b mark the fields where a >= b, and spread to value masks."""
+    ge = ((a | guard) - b) & guard
+    mask = ge - (ge >> (FIELD - 1))
+    return b ^ ((a ^ b) & mask)
 
 
 def _merge_scaled(pa, ca, pb, cb):
@@ -143,107 +199,113 @@ def _merge_scaled(pa, ca, pb, cb):
     return out
 
 
-def _shift(p, kshift, eshift):
-    return [
-        (tuple(map(sum, zip(k, kshift))), tuple(map(sum, zip(e, eshift))), c)
-        for k, e, c in p
-    ]
+def _shift(p, top, kshift, eshift):
+    """p times the monomial (kshift, eshift); ``top`` is p's top degree."""
+    degree = top + eshift % DEG_MOD
+    if degree >= LIMIT:
+        raise _degree_cap(degree)
+    return [(k + kshift, e + eshift, c) for k, e, c in p]
 
 
-def _spoly(f, g, order: MonomialOrder):
-    ef, cf = f[0][1], f[0][2]
-    eg, cg = g[0][1], g[0][2]
-    lcm = _lcm(ef, eg)
-    mf = tuple(a - b for a, b in zip(lcm, ef))
-    mg = tuple(a - b for a, b in zip(lcm, eg))
+def _spoly(fh, gh, lcm, lcm_key):
+    """S-polynomial of the heads fh and gh, whose leading monomials have the
+    given lcm."""
+    kf, ef, cf, ftop, f = fh
+    kg, eg, cg, gtop, g = gh
     gamma = gcd(cf, cg)
-    sf = _shift(f, order.key(mf), mf)
-    sg = _shift(g, order.key(mg), mg)
+    sf = _shift(f, ftop, lcm_key - kf, lcm - ef)
+    sg = _shift(g, gtop, lcm_key - kg, lcm - eg)
     s = _merge_scaled(sf, cg // gamma, sg, -(cf // gamma))
     return _strip_content(s)
 
 
-def _normal_form_internal(f, basis, order: MonomialOrder):
-    """Full normal form of f modulo the basis, fraction-free."""
+def _normal_form_internal(f, heads, guard):
+    """Full normal form of f modulo the basis given by its heads,
+    fraction-free."""
+    leads = [h[1] for h in heads]
     done = []  # irreducible prefix; coefficients rescale as reductions proceed
     tail = f
     while tail:
-        e_head = tail[0][1]
-        reducer = None
-        for g in basis:
-            if _divides(g[0][1], e_head):
-                reducer = g
+        k_head, e_head, c_head = tail[0]
+        for i, eg in enumerate(leads):
+            if not (e_head - eg) & guard:  # _divides(eg, e_head, guard), inlined
                 break
-        if reducer is None:
+        else:
             done.append(tail[0])
             tail = tail[1:]
             continue
-        c_head = tail[0][2]
-        cg = reducer[0][2]
+        kg, eg, cg, top, g = heads[i]
+        m = e_head - eg
         gamma = gcd(c_head, cg)
         a = cg // gamma
         b = c_head // gamma
         if a < 0:
             a, b = -a, -b
-        m = tuple(x - y for x, y in zip(e_head, reducer[0][1]))
-        shifted = _shift(reducer, order.key(m), m)
-        tail = _merge_scaled(tail, a, shifted, -b)
+        tail = _merge_scaled(tail, a, _shift(g, top, k_head - kg, m), -b)
         if a != 1 and done:
             done = [(k, e, c * a) for k, e, c in done]
     return _strip_content(done)
 
 
-def _interreduce(polys, order: MonomialOrder):
+def _interreduce(polys, guard):
     """Fully reduce each element against the others; drop zeros."""
     out = list(polys)
+    heads = [_head(g) for g in out]
     changed = True
     while changed:
         changed = False
         for i in range(len(out)):
-            others = [g for j, g in enumerate(out) if j != i and g]
+            others = [h for j, h in enumerate(heads) if j != i and h]
             if not others:
                 continue
-            r = _normal_form_internal(out[i], others, order)
+            r = _normal_form_internal(out[i], others, guard)
             if r != out[i]:
                 out[i] = r
+                heads[i] = _head(r) if r else None
                 changed = True
+        heads = [h for h in heads if h]
         out = [g for g in out if g]
     return out
 
 
-def _gm_update(basis, pairs, order: MonomialOrder):
+def _gm_update(heads, pairs, pk: _Packing):
     """Gebauer-Moeller update of the pair table when the last element of
-    ``basis`` joins it.
+    the basis, given by its ``heads``, joins it.
 
-    ``pairs`` maps each surviving index pair (i, j), i < j, to its lcm and
-    its selection key (lcm degree, then ``order.key(lcm)``).  Applies
-    Buchberger's coprimality and chain criteria and returns the new table.
+    ``pairs`` maps each surviving index pair (i, j), i < j, to its packed lcm
+    and its selection key (lcm degree, packed order key of the lcm, i, j).
+    Applies Buchberger's coprimality and chain criteria and returns the new
+    table.
     """
-    lm = [g[0][1] for g in basis]
-    t = len(basis) - 1
+    guard = pk.guard
+    lm = [h[1] for h in heads]
+    t = len(heads) - 1
     lt = lm[t]
+    lcms = [_lcm(a, lt, guard) for a in lm[:t]]
 
     kept = {
         (i, j): (lij, key)
         for (i, j), (lij, key) in pairs.items()
-        if not _divides(lt, lij)
-        or _lcm(lm[i], lt) == lij
-        or _lcm(lm[j], lt) == lij
+        if not _divides(lt, lij, guard) or lcms[i] == lij or lcms[j] == lij
     }
 
     # group candidate pairs (i, t) by their lcm and keep one representative
-    # of each minimal lcm; drop coprime-lead pairs entirely
+    # of each minimal lcm; drop coprime-lead pairs entirely.  Packed lcms
+    # compare as their exponent tuples.
     by_lcm = {}
-    for i in range(t):
-        by_lcm.setdefault(_lcm(lm[i], lt), []).append(i)
+    for i, L in enumerate(lcms):
+        by_lcm.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(by_lcm, key=lambda m: (sum(m), m)):
-        if not any(_divides(M, L) for M in minimal):
+    for L in sorted(by_lcm, key=lambda m: (m % DEG_MOD, m)):
+        if not any(_divides(M, L, guard) for M in minimal):
             minimal.append(L)
+    # an lcm may reach total degree 2 * LIMIT - 2: its fields and key rows
+    # still fit, and its S-polynomial raises in _shift if it is ever formed
     for L in minimal:
-        if any(tuple(map(sum, zip(lm[i], lt))) == L for i in by_lcm[L]):
+        if any(lm[i] + lt == L for i in by_lcm[L]):
             continue  # coprime leading monomials: S-pair reduces to zero
-        kept[(min(by_lcm[L]), t)] = (L, (sum(L), order.key(L)))
+        i = min(by_lcm[L])
+        kept[(i, t)] = (L, (L % DEG_MOD, pk.key(L), i, t))
     return kept
 
 
@@ -259,34 +321,36 @@ def buchberger(
     the Gebauer-Moeller criteria prune it as the basis grows.  Pair selection
     follows the normal strategy: the entry with the least (lcm degree, lcm
     under the order, pair index) is reduced next.  Raises ResourceLimitError
-    when the basis exceeds ``max_terms`` stored terms or any coefficient
-    exceeds ``max_bits`` bits.
+    when the basis exceeds ``max_terms`` stored terms, any coefficient
+    exceeds ``max_bits`` bits, or a monomial reaches total degree LIMIT.
     """
-    order = ideal.order
-    variables = ideal.variables
-    gens = [_to_internal(g, order) for g in ideal.generators if not g.is_zero]
+    pk = _Packing(ideal.order)
+    guard = pk.guard
+    gens = [_to_internal(g, pk) for g in ideal.generators if not g.is_zero]
     if not gens:
         raise ValueError("all generators are zero")
 
-    basis = []
+    heads = []
+    total_terms = 0
     pairs: dict = {}
     for g in sorted(gens, key=lambda p: p[0][0]):
-        r = _normal_form_internal(g, basis, order)
+        r = _normal_form_internal(g, heads, guard)
         if r:
-            basis.append(r)
-            pairs = _gm_update(basis, pairs, order)
+            heads.append(_head(r))
+            total_terms += len(r)
+            pairs = _gm_update(heads, pairs, pk)
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (pairs[ij][1], ij))
+        lcm, (_, lcm_key, i, j) = min(pairs.values(), key=itemgetter(1))
         del pairs[(i, j)]
-        s = _spoly(basis[i], basis[j], order)
+        s = _spoly(heads[i], heads[j], lcm, lcm_key)
         if not s:
             continue
-        r = _normal_form_internal(s, basis, order)
+        r = _normal_form_internal(s, heads, guard)
         if not r:
             continue
-        basis.append(r)
-        total_terms = sum(len(g) for g in basis)
+        heads.append(_head(r))
+        total_terms += len(r)
         if total_terms > max_terms:
             raise ResourceLimitError(
                 f"basis grew to {total_terms} terms (cap {max_terms})"
@@ -296,29 +360,30 @@ def buchberger(
             raise ResourceLimitError(
                 f"coefficient reached {maxbits} bits (cap {max_bits})"
             )
-        pairs = _gm_update(basis, pairs, order)
+        pairs = _gm_update(heads, pairs, pk)
 
     # minimal basis: drop elements whose leading monomial is divisible by
     # another's
-    basis.sort(key=lambda p: p[0][0])
     minimal = []
-    for g in basis:
-        if any(_divides(h[0][1], g[0][1]) for h in minimal):
+    for h in sorted(heads, key=itemgetter(0)):
+        if any(_divides(m[1], h[1], guard) for m in minimal):
             continue
-        minimal = [h for h in minimal if not _divides(g[0][1], h[0][1])]
-        minimal.append(g)
-    reduced = _interreduce(minimal, order)
+        minimal = [m for m in minimal if not _divides(h[1], m[1], guard)]
+        minimal.append(h)
+    reduced = _interreduce([h[4] for h in minimal], guard)
     reduced.sort(key=lambda p: p[0][0], reverse=True)
-    return [_to_multipoly(p, variables) for p in reduced]
+    return [_to_multipoly(p, ideal.variables, pk) for p in reduced]
 
 
 def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> MultiPoly:
     """Full remainder of f modulo a list of polynomials under ``order``
-    (default grevlex), scaled to coprime integer coefficients."""
-    order = order or grevlex_order(len(f.variables))
-    internal = [_to_internal(g, order) for g in basis if not g.is_zero]
-    r = _normal_form_internal(_to_internal(f, order), internal, order)
-    return _to_multipoly(r, f.variables, monic=False)
+    (default grevlex), scaled to coprime integer coefficients.  Raises
+    ResourceLimitError when a monomial reaches total degree LIMIT."""
+    pk = _Packing(order or grevlex_order(len(f.variables)))
+    internal = [_to_internal(g, pk) for g in basis if not g.is_zero]
+    heads = [_head(g) for g in internal]
+    r = _normal_form_internal(_to_internal(f, pk), heads, pk.guard)
+    return _to_multipoly(r, f.variables, pk, monic=False)
 
 
 def eliminate(ideal: Ideal, **caps) -> list[MultiPoly]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, inf
 
 from .exactnum import ParseError, UniPoly, power
@@ -28,11 +29,16 @@ __all__ = [
 
 
 class MonomialOrder:
-    """Strict total well-order on exponent tuples.
+    """Strict total well-order on exponent tuples, given by weight rows.
 
-    ``key(exp)`` returns a tuple that compares consistently with the order;
-    the key is a componentwise-linear function of the exponents, so the key
-    of a product of monomials is the componentwise sum of their keys.
+    ``rows`` holds nonnegative 0/1 weight vectors and ``key(exp)`` their
+    weighted sums; monomials compare as their keys do, lexicographically.
+    grevlex takes the total degree, then the prefix sums e1 + ... + e_(n-1),
+    ..., e1 (at equal degree a larger prefix sum is a smaller last exponent);
+    a block order takes those rows within each block, the eliminated block
+    first; lex takes the identity rows.  The key is linear in the exponents,
+    so the key of a product of monomials is the componentwise sum of their
+    keys, and no entry of a key exceeds the total degree.
     """
 
     def __init__(self, kind: str, nvars: int, split: int = 0):
@@ -43,20 +49,21 @@ class MonomialOrder:
         self.kind = kind
         self.nvars = nvars
         self.split = split if kind == "block" else 0
+        if kind == "lex":
+            spans = [(i, i + 1) for i in range(nvars)]
+        else:
+            blocks = [(0, split), (split, nvars)] if kind == "block" else [(0, nvars)]
+            spans = [
+                (start, stop) for start, end in blocks for stop in range(end, start, -1)
+            ]
+        # row (start, stop) weighs the variables start, ..., stop - 1 by 1
+        self.rows = tuple(
+            (0,) * start + (1,) * (stop - start) + (0,) * (nvars - stop)
+            for start, stop in spans
+        )
 
     def key(self, exp):
-        if self.kind == "lex":
-            return exp
-        if self.kind == "grevlex":
-            return (sum(exp),) + tuple(-e for e in reversed(exp))
-        k = self.split
-        head, tail = exp[:k], exp[k:]
-        return (
-            (sum(head),)
-            + tuple(-e for e in reversed(head))
-            + (sum(tail),)
-            + tuple(-e for e in reversed(tail))
-        )
+        return tuple(map(sum, map(compress, repeat(exp), self.rows)))
 
     def __eq__(self, other):
         return (

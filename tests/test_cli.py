@@ -209,6 +209,11 @@ class TestVerify:
         # the rest of the report still runs
         assert rows["lemma_ws"] == rows["observation2_lines"] == "PASS"
         assert rows["hull_hausdorff"] == "PASS"
+        # and does not claim the squarefreeness the dual row just refuted
+        assert (
+            "UNCHECKED  dual_irreducibility          irreducibility of the dual "
+            "polynomial is not certified; no dual polynomial was computed\n"
+        ) in captured.out
         assert captured.err == ""
 
 
@@ -305,20 +310,22 @@ class TestPlot:
     def test_curve_not_squarefree_exit_2(self, tmp_path, capsys, panel):
         f = tmp_path / "squared.pencil"
         f.write_text(SQUARED_PENCIL)
-        args = ["plot", "--input", str(f), "--panel", panel, "--out-dir", str(tmp_path)]
+        out_dir = tmp_path / "figures"
+        args = ["plot", "--input", str(f), "--panel", panel, "--out-dir", str(out_dir)]
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid curve: {NOT_SQUAREFREE}\n"
-        assert not list(tmp_path.glob("*.svg"))
+        assert not out_dir.exists()
 
     def test_unknown_preset_exit_2(self, tmp_path, capsys):
-        args = ["plot", "--preset", "nosuch", "--panel", "supports", "--out-dir", str(tmp_path)]
+        out_dir = tmp_path / "figures"
+        args = ["plot", "--preset", "nosuch", "--panel", "supports", "--out-dir", str(out_dir)]
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "parse error: unknown preset 'nosuch'\n"
-        assert not list(tmp_path.glob("*.svg"))
+        assert not out_dir.exists()
 
     def test_empty_cloud_valid_svg(self):
         svg = svgfig.render_kippenhahn([], caption="empty")

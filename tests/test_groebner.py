@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder
+from sympy.polys.orderings import grevlex as sympy_grevlex
 
+from kippenhahn import groebner
 from kippenhahn.groebner import (
+    LIMIT,
     Ideal,
     NonPrincipalIdealError,
     ResourceLimitError,
@@ -143,6 +149,100 @@ class TestEliminate:
         assert len(basis) == 1 and basis[0] == MultiPoly.constant(V3, 1)
 
 
+def reference_key(order, exp):
+    """The orders by their textbook keys: grevlex (deg, -e_n, ..., -e_1),
+    blockwise for a block order, the exponents themselves for lex."""
+    if order.kind == "lex":
+        return exp
+    blocks = [exp[: order.split], exp[order.split :]] if order.kind == "block" else [exp]
+    return sum(((sum(b),) + tuple(-e for e in reversed(b)) for b in blocks), ())
+
+
+@st.composite
+def packed_case(draw):
+    """An order on 1-6 variables and two exponent vectors whose entries lean
+    to 0, small values and LIMIT - 1, each of total degree below LIMIT."""
+    n = draw(st.integers(1, 6))
+    kinds = ["grevlex", "lex"] + (["block"] if n > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "block":
+        order = elimination_order(n, draw(st.integers(1, n - 1)))
+    else:
+        order = grevlex_order(n) if kind == "grevlex" else lex_order(n)
+
+    def monomial():
+        degree = draw(st.one_of(st.integers(0, 4), st.just(LIMIT - 1), st.integers(0, LIMIT - 1)))
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1)))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+    return order, monomial(), monomial()
+
+
+class TestPackedMonomials:
+    """The packed exponent vectors and keys inside ``buchberger`` against
+    the tuple definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_case())
+    def test_agrees_with_tuples(self, case):
+        order, a, b = case
+        pk = groebner._Packing(order)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a
+        assert groebner._divides(pa, pb, pk.guard) == all(x <= y for x, y in zip(a, b))
+        assert groebner._divides(pa, pa, pk.guard)
+        assert pk.unpack(groebner._lcm(pa, pb, pk.guard)) == tuple(map(max, a, b))
+        assert pa % groebner.DEG_MOD == sum(a)
+        assert (pa < pb) == (a < b)
+        ka, kb = pk.key(pa), pk.key(pb)
+        assert ka == pk.pack(order.key(a))
+        assert (ka < kb) == (order.key(a) < order.key(b)) == (
+            reference_key(order, a) < reference_key(order, b)
+        )
+        assert (ka == kb) == (a == b)
+        if sum(a) + sum(b) < LIMIT:
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert pk.unpack(pa + pb) == ab
+            assert ka + kb == pk.key(pa + pb)
+            assert groebner._divides(pa, pa + pb, pk.guard)
+
+    def test_pair_table_selection_key(self):
+        # each critical pair carries (lcm degree, packed key of the lcm, i, j)
+        order = lex_order(3)
+        pk = groebner._Packing(order)
+        gens = [parse_poly(t, V3) for t in ("x0^2 - x1", "x0*x2^3 - 1", "x1^2*x2 + x0")]
+        heads, pairs = [], {}
+        for g in gens:
+            heads.append(groebner._head(groebner._to_internal(g, pk)))
+            pairs = groebner._gm_update(heads, pairs, pk)
+        assert pairs
+        for (i, j), (lcm, key) in pairs.items():
+            exp = pk.unpack(lcm)
+            assert exp == tuple(map(max, pk.unpack(heads[i][1]), pk.unpack(heads[j][1])))
+            assert key == (sum(exp), pk.pack(order.key(exp)), i, j)
+
+    def test_exponent_limit(self):
+        x0, x1 = (MultiPoly.variable(V3, i) for i in range(2))
+        below = x0 ** (LIMIT - 1) - 1
+        (g,) = buchberger(Ideal([below]))
+        assert g == below
+        assert normal_form(below, [x0 - 1]).is_zero
+        with pytest.raises(ResourceLimitError):
+            buchberger(Ideal([x0**LIMIT - 1]))
+        with pytest.raises(ResourceLimitError):
+            normal_form(x0**LIMIT, [x0 - 1])
+
+    def test_products_past_the_limit_raise(self):
+        # each input is below the limit; the S-pair's lcm x0^(LIMIT-1)*x1 and
+        # the lex reduction of x0^(LIMIT-1) by x0 -> x1^2 reach it
+        x0, x1 = (MultiPoly.variable(V3, i) for i in range(2))
+        with pytest.raises(ResourceLimitError):
+            buchberger(Ideal([x0 ** (LIMIT - 1) - x1, x0 * x1 - 1]))
+        with pytest.raises(ResourceLimitError):
+            normal_form(x0 ** (LIMIT - 1), [x0 - x1**2], lex_order(3))
+        assert normal_form(x0**3, [x0 - x1**2], lex_order(3)) == x1**6
+
+
 SYM3 = sympy.symbols(V3)
 
 
@@ -163,15 +263,35 @@ def random_small_ideal(seed):
     return gens
 
 
+def random_ideal(seed, n):
+    """2-3 generators of degree <= 3 in x0, ..., x(n-1), each of 2-4 terms
+    with coefficients in [-3, 3]."""
+    rng = random.Random(seed)
+    variables = tuple(f"x{i}" for i in range(n))
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        k = rng.randint(2, 4)
+        while len(terms) < k:
+            exp = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                exp[rng.randrange(n)] += 1
+            terms[tuple(exp)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(MultiPoly(variables, terms))
+    return gens
+
+
 def sympy_groebner(gens, order):
     """sympy's reduced Groebner basis of the ideal, as MultiPoly."""
+    variables = gens[0].variables
+    syms = sympy.symbols(variables)
     exprs = [
-        sympy.Poly.from_dict({e: int(c) for e, c in f.normalized().terms.items()}, *SYM3)
+        sympy.Poly.from_dict({e: int(c) for e, c in f.normalized().terms.items()}, *syms)
         for f in gens
     ]
     return [
-        MultiPoly(V3, {e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
-        for g in sympy.groebner(exprs, *SYM3, order=order).polys
+        MultiPoly(variables, {e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
+        for g in sympy.groebner(exprs, *syms, order=order).polys
     ]
 
 
@@ -197,6 +317,24 @@ class TestMatchesSympy:
         ours = eliminate(Ideal(gens, order))
         assert all(normal_form(g, ref, lex_order(3)).is_zero for g in ours)
         assert all(normal_form(g, ours, order).is_zero for g in ref)
+
+    # four to six variables: packed exponents and keys span that many fields
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n, split", [(4, 2), (6, 3)])
+    def test_block_order_basis(self, seed, n, split):
+        gens = random_ideal(seed, n)
+        product = ProductOrder(
+            (sympy_grevlex, lambda m: m[:split]), (sympy_grevlex, lambda m: m[split:])
+        )
+        ours = buchberger(Ideal(gens, elimination_order(n, split)))
+        assert normalized_set(ours) == normalized_set(sympy_groebner(gens, product))
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name, order", [("grevlex", grevlex_order(5)), ("lex", lex_order(5))])
+    def test_reduced_basis_five_variables(self, seed, name, order):
+        gens = random_ideal(seed, 5)
+        ours = buchberger(Ideal(gens, order))
+        assert normalized_set(ours) == normalized_set(sympy_groebner(gens, name))
 
 
 def random_conic(rng):
