@@ -537,7 +537,7 @@ def hausdorff(cloud_a, cloud_b) -> float:
 
     def directed(U, V):
         worst = 0.0
-        step = 512
+        step = 64  # rows per block: the block's float array is 2 * step * len(V)
         for i in range(0, len(U), step):
             chunk = U[i : i + step]
             d2 = ((chunk[:, None, :] - V[None, :, :]) ** 2).sum(axis=2)
@@ -879,7 +879,7 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
             "numerical range has empty interior (point or segment); "
             "duality checks need an interior origin and are skipped",
         )
-        _add_unchecked(report)
+        _add_unchecked(report, no_dual=True)
         return report
 
     p = body.curve_poly
@@ -1053,11 +1053,11 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
             "is decided by the singular-point checks above",
         )
 
-    _add_unchecked(report, dual_failed=q is None)
+    _add_unchecked(report, no_dual=q is None)
     return report
 
 
-def _add_unchecked(report: VerificationReport, dual_failed: bool = False):
+def _add_unchecked(report: VerificationReport, no_dual: bool):
     report.add(
         "complex_singular_count",
         "unchecked",
@@ -1070,7 +1070,7 @@ def _add_unchecked(report: VerificationReport, dual_failed: bool = False):
         "irreducibility of the dual polynomial is not certified; "
         + (
             "no dual polynomial was computed"
-            if dual_failed
+            if no_dual
             else "only squarefreeness is verified"
         ),
     )

@@ -148,12 +148,6 @@ class GaussianRational:
         num = self * conj
         return GaussianRational(num.re / n2, num.im / n2)
 
-    def __rtruediv__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 

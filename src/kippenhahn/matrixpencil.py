@@ -2,8 +2,9 @@
 function via the smallest eigenvalue, numerical-range sampling, and
 spectrahedron membership.
 
-Exact paths run over Gaussian rationals; floating paths call LAPACK's
-Hermitian eigensolver through numpy (``eigh``/``eigvalsh``).
+Exact paths are fraction-free Bareiss elimination over Gaussian integers, whose
+pivots are the leading minors; floating paths call LAPACK's Hermitian
+eigensolver through numpy (``eigh``/``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -64,14 +66,11 @@ class HermitianMatrix:
 
     @classmethod
     def zeros(cls, n):
-        z = GaussianRational(0)
-        return cls([[z] * n for _ in range(n)])
+        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            [[GaussianRational(1 if j == k else 0) for k in range(n)] for j in range(n)]
-        )
+        return cls([[int(j == k) for k in range(n)] for j in range(n)])
 
     def __getitem__(self, jk):
         j, k = jk
@@ -92,27 +91,15 @@ class HermitianMatrix:
         )
 
     def is_positive_definite(self) -> bool:
-        """Exact Sylvester criterion from one elimination without row swaps.
-
-        The k-th pivot is D_k / D_(k-1) for the leading principal minors D_k
-        (Horn-Johnson, Matrix Analysis, Thm 7.2.5), so every minor is positive
-        exactly when every pivot is.  Row k is reduced by the pivot rows above
-        it only when its own pivot is due, and the first pivot that is not
-        positive decides.
-        """
-        reduced = []  # (pivot row, 1 / pivot) for the rows above
-        for k, row in enumerate(self.entries):
-            r = list(row)
-            for c, (u, inv) in enumerate(reduced):
-                if not r[c].is_zero:
-                    f = r[c] * inv
-                    r = [x if y.is_zero else x - f * y for x, y in zip(r, u)]
-            p = r[k]
-            if p.im:
-                raise ValueError("hermitian pivot came out complex")
-            if p.re <= 0:
+        """Exact Sylvester criterion (Horn-Johnson, Thm 7.2.5): the pivots of one
+        Bareiss pass without row swaps over D * self, D > 0, are its leading
+        principal minors, and the first that is not positive decides."""
+        _, ((re, im),) = _gaussian_integers(self.entries)
+        for p, q in _bareiss(re, im, swap=False):
+            if q:
+                raise ValueError(f"leading principal minor is not real: {p} + {q}i")
+            if p <= 0:
                 return False
-            reduced.append((r, 1 / p.re))
         return True
 
     def __repr__(self):
@@ -150,16 +137,11 @@ class HermitianPencil:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        half = Fraction(1, 2)
-        K = [
-            [(rows[j][k] + rows[k][j].conjugate()) * half for k in range(n)]
-            for j in range(n)
-        ]
-        minus_half_i = GaussianRational(0, Fraction(-1, 2))
-        L = [
-            [(rows[j][k] - rows[k][j].conjugate()) * minus_half_i for k in range(n)]
-            for j in range(n)
-        ]
+        # K = (A + A^H) / 2 and L = (A - A^H) / 2i from the pairs (a_jk, a_kj)
+        pairs = [list(zip(row, col)) for row, col in zip(rows, zip(*rows))]
+        half, minus_half_i = Fraction(1, 2), GaussianRational(0, Fraction(-1, 2))
+        K = [[(a + b.conjugate()) * half for a, b in r] for r in pairs]
+        L = [[(a - b.conjugate()) * minus_half_i for a, b in r] for r in pairs]
         return cls(HermitianMatrix(K), HermitianMatrix(L))
 
     def centroid(self) -> tuple[Fraction, Fraction]:
@@ -206,52 +188,70 @@ class HermitianPencil:
 
 # --- exact determinant curve -------------------------------------------------
 #
-# Determinants are sampled, not expanded: det(A + sB) has degree at most n in
-# s, so its exact values at s = 0..n, each one Gaussian elimination, fix it by
-# interpolation.  A Hermitian matrix at a real s has a real determinant, so a
-# non-real sample signals a broken Hermitian invariant.
+# Fraction-free Bareiss elimination over Gaussian integers; leading minors are
+# the pivots.  M is scaled once by the common denominator D of its entries:
+# det(M) = det(D M) / D^n.  det(A + sB) is fixed by its values at s = 0..n; a
+# Hermitian matrix at a real s has a real determinant, so a non-real one raises.
 
 
-def _gaussian_det(rows) -> GaussianRational:
-    """Exact determinant by Gaussian elimination with row swaps."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    det = GaussianRational(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if not a[r][c].is_zero), None)
-        if pivot is None:
-            return GaussianRational(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        p = a[c][c]
-        det = det * p
-        for r in range(c + 1, n):
-            if a[r][c].is_zero:
-                continue
-            f = a[r][c] / p
-            a[r] = [x if y.is_zero else x - f * y for x, y in zip(a[r], a[c])]
-    return det
+def _gaussian_integers(*matrices):
+    """The common denominator D of the entries of the matrices (rows of
+    Gaussian rationals) and D times each one as (real rows, imaginary rows)."""
+    re_im = (attrgetter("re"), attrgetter("im"))
+    parts = [[list(map(f, r)) for r in M] for M in matrices for f in re_im]
+    D = math.lcm(*(x.denominator for P in parts for r in P for x in r))
+    ints = [[[x.numerator * (D // x.denominator) for x in r] for r in P] for P in parts]
+    return D, list(zip(ints[::2], ints[1::2]))
 
 
-def _line_points(A, B):
-    """The n + 1 matrices A + sB at s = 0..n, by repeated addition of B."""
-    M = A
-    yield M
-    for _ in range(len(A)):
-        M = [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(M, B)]
-        yield M
+def _along(A, B, s):
+    """A + sB for matrices given as (real rows, imaginary rows) of integers."""
+    return tuple([[a + s * b for a, b in zip(*r)] for r in zip(*M)] for M in zip(A, B))
 
 
-def _det_poly(A, B) -> UniPoly:
-    """det(A + sB) for n x n rows, interpolated from its values at s = 0..n."""
+def _bareiss(re, im, swap):
+    """Yield the pivots (p, q) = p + qi of Bareiss elimination on the matrix
+    re + i*im of integer rows, which it overwrites.  Pivot k = 0..n is the k-th
+    leading principal minor of the rows in their current order, negated per
+    row swap: the last is the determinant.  A zero pivot ends the pass unless
+    ``swap`` and a lower nonzero entry in its column allow a swap.  Division by
+    the previous pivot p + qi is exact: by p if q = 0, else times p - qi and
+    // (p^2 + q^2)."""
+    n = len(re)
+    sign, prev_p, prev_q, norm = 1, 1, 0, 1
+    yield 1, 0
+    for k in range(n):
+        if not (re[k][k] or im[k][k]):
+            r = next((r for r in range(k + 1, n) if re[r][k] or im[r][k]), None)
+            if r is None or not swap:
+                yield 0, 0
+                return
+            re[k], re[r], im[k], im[r] = re[r], re[k], im[r], im[k]
+            sign = -sign
+        rk, ik, p, q = re[k], im[k], re[k][k], im[k][k]
+        yield sign * p, sign * q
+        for ri, ii in zip(re[k + 1 :], im[k + 1 :]):
+            a, b = ri[k], ii[k]
+            for j in range(k + 1, n):
+                x = p * ri[j] - q * ii[j] - a * rk[j] + b * ik[j]
+                y = p * ii[j] + q * ri[j] - a * ik[j] - b * rk[j]
+                if prev_q:
+                    x, y = x * prev_p + y * prev_q, y * prev_p - x * prev_q
+                ri[j], ii[j] = x // norm, y // norm
+        prev_p, prev_q, norm = p, q, p * p + q * q if q else p
+
+
+def _det_poly(A, B, D) -> UniPoly:
+    """det(A + sB) / D^n for n x n Gaussian-integer matrices A, B given as
+    (real rows, imaginary rows), interpolated from its values at s = 0..n."""
+    n = len(A[0])
     ys = []
-    for M in _line_points(A, B):
-        d = _gaussian_det(M)
-        if d.im:
-            raise ValueError(f"sampled determinant is not real: {d}")
-        ys.append(d.re)
-    return UniPoly.interpolate(range(len(ys)), ys)
+    for s in range(n + 1):
+        *_, (re, im) = _bareiss(*_along(A, B, s), swap=True)
+        if im:
+            raise ValueError(f"sampled determinant is not real: {re}{im:+}*i / {D**n}")
+        ys.append(Fraction(re, D**n))
+    return UniPoly.interpolate(range(n + 1), ys)
 
 
 def pencil_det(P: HermitianPencil) -> MultiPoly:
@@ -263,12 +263,12 @@ def pencil_det(P: HermitianPencil) -> MultiPoly:
     sampled determinant raises ValueError.
     """
     n = P.n
-    ident = HermitianMatrix.identity(n).entries
+    D, (K, L) = _gaussian_integers(P.K.entries, P.L.entries)
+    ident = ([[D * (j == k) for k in range(n)] for j in range(n)], [[0] * n] * n)
     # det(M + x0*1) is monic of degree n in x0: every row has n + 1 coefficients
-    in_x0 = [_det_poly(M, ident).coeffs for M in _line_points(P.K.entries, P.L.entries)]
+    in_x0 = [_det_poly(_along(K, L, t), ident, D).coeffs for t in range(n + 1)]
     terms = {}
-    for a in range(n + 1):
-        column = [row[a] for row in in_x0]
+    for a, column in enumerate(zip(*in_x0)):
         for b, c in enumerate(UniPoly.interpolate(range(n + 1), column).coeffs):
             if not c:
                 continue
@@ -282,7 +282,8 @@ def det_along_line(A: HermitianMatrix, B: HermitianMatrix):
     """Exact coefficients (ascending) of det(A + t B) as a polynomial in t."""
     if A.n != B.n:
         raise ValueError("size mismatch")
-    return _det_poly(A.entries, B.entries).coeffs or (Fraction(0),)
+    D, (A, B) = _gaussian_integers(A.entries, B.entries)
+    return _det_poly(A, B, D).coeffs or (Fraction(0),)
 
 
 # --- floating eigensolver ----------------------------------------------------

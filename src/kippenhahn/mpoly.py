@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import compress, repeat
 from math import gcd, inf
 
@@ -81,7 +82,9 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, {self.nvars})"
 
 
+@cache
 def grevlex_order(nvars: int) -> MonomialOrder:
+    """The grevlex order on ``nvars`` variables, one shared instance per nvars."""
     return MonomialOrder("grevlex", nvars)
 
 

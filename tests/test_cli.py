@@ -190,6 +190,11 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "DEGENERATE" in captured.out
         assert "warning" in captured.err
+        # no curve was checked, so the report claims no squarefreeness either
+        assert (
+            "UNCHECKED  dual_irreducibility          irreducibility of the dual "
+            "polynomial is not certified; no dual polynomial was computed\n"
+        ) in captured.out
 
     def test_commuting_pencil_degenerate(self, tmp_path, capsys):
         f = tmp_path / "seg.pencil"

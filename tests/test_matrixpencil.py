@@ -131,13 +131,16 @@ class TestHermitianMatrix:
     @settings(max_examples=120, deadline=None)
     @given(_definiteness_cases())
     def test_positive_definite_is_sylvester(self, M):
-        # oracle: every leading principal minor, each its own determinant
-        minors = [
-            matrixpencil._gaussian_det([row[:k] for row in M.entries[:k]])
-            for k in range(1, M.n + 1)
-        ]
-        assert not any(d.im for d in minors)
-        assert M.is_positive_definite() == all(d.re > 0 for d in minors)
+        # oracle: every leading principal minor, each its own sympy determinant
+        S = sympy_matrix(M)
+        minors = [sympy.expand(S[:k, :k].det()) for k in range(1, M.n + 1)]
+        assert all(d.is_real for d in minors)
+        assert M.is_positive_definite() == all(d > 0 for d in minors)
+
+    def test_positive_definite_rejects_nonreal_minor(self, monkeypatch):
+        monkeypatch.setattr(matrixpencil, "_bareiss", lambda re, im, swap: iter([(1, 1)]))
+        with pytest.raises(ValueError, match="not real"):
+            HermitianMatrix.identity(2).is_positive_definite()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -205,7 +208,7 @@ class TestPencilDet:
     def test_safety_checks(self, monkeypatch):
         P = eq3_pencil()
         with monkeypatch.context() as m:
-            m.setattr(matrixpencil, "_gaussian_det", lambda rows: GaussianRational(1, 1))
+            m.setattr(matrixpencil, "_bareiss", lambda re, im, swap: iter([(1, 0), (1, 1)]))
             with pytest.raises(ValueError, match="not real"):
                 pencil_det(P)
         with monkeypatch.context() as m:
@@ -394,6 +397,34 @@ class TestDualBoundary:
             dual_boundary_point(parabola_pencil(), (0, 1))
 
 
+@st.composite
+def _line_cases(draw):
+    """Pairs (A, B) of Hermitian matrices, n = 1..6, with entries over mixed
+    denominators: general, with a zero (0, 0) entry in both (each sample of
+    det(A + tB) needs a row swap), or both Gram matrices of rank below n."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["general", "zero corner", "rank deficient"]))
+    mixed = st.builds(GaussianRational, _rational, _rational)
+
+    def herm():
+        if kind == "rank deficient":
+            C = [[draw(mixed) for _ in range(draw(st.integers(0, n - 1)))] for _ in range(n)]
+            return [
+                [sum((x * y.conjugate() for x, y in zip(cj, ck)), GaussianRational(0)) for ck in C]
+                for cj in C
+            ]
+        rows = [[GaussianRational(draw(_rational)) for _ in range(n)] for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                rows[j][k] = draw(mixed)
+                rows[k][j] = rows[j][k].conjugate()
+        if kind == "zero corner":
+            rows[0][0] = GaussianRational(0)
+        return rows
+
+    return HermitianMatrix(herm()), HermitianMatrix(herm())
+
+
 class TestPencilFiles:
     def test_roundtrip(self):
         P = eq3_pencil()
@@ -448,3 +479,13 @@ class TestPencilFiles:
                 assert len(got) == expected + 1
             else:
                 assert got == tuple(Fraction(c) for c in expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_line_cases())
+    def test_det_along_line_matches_sympy(self, AB):
+        A, B = AB
+        t = sympy.Symbol("t")
+        M = sympy_matrix(A) + t * sympy_matrix(B)
+        ref = sympy.Poly(sympy.expand(M.det(method="domain-ge")), t)
+        ref = tuple(Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs()))
+        assert det_along_line(A, B) == (ref if any(ref) else (Fraction(0),))

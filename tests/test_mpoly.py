@@ -7,6 +7,7 @@ import sympy
 
 from kippenhahn.exactnum import GaussianRational, ParseError, RationalInterval, UniPoly
 from kippenhahn.mpoly import (
+    MonomialOrder,
     MultiPoly,
     elimination_order,
     grevlex_order,
@@ -243,6 +244,16 @@ class TestOrders:
     def test_grevlex_degree_first(self):
         order = grevlex_order(3)
         assert order.key((2, 0, 0)) > order.key((1, 1, 0)) > order.key((0, 0, 2))
+
+    def test_grevlex_built_once(self):
+        rng = random.Random(29)
+        for n in range(1, 7):
+            order = grevlex_order(n)
+            assert grevlex_order(n) is order
+            fresh = MonomialOrder("grevlex", n)
+            assert order == fresh and order.rows == fresh.rows
+            exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(40)]
+            assert sorted(exps, key=order.key) == sorted(exps, key=fresh.key)
 
     def test_lex(self):
         order = lex_order(3)
