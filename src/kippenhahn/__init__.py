@@ -51,7 +51,6 @@ from .realroots import (
     count_real_roots,
     real_singular_points,
     resultant,
-    roots_all_real,
     sturm_isolate,
 )
 from .convexgeom import (

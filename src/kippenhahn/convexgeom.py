@@ -33,7 +33,14 @@ from .matrixpencil import (
     support_function,
     sample_numrange_boundary,
 )
-from .realroots import count_real_roots, resultant
+from .groebner import (
+    DEFAULT_MAX_BITS,
+    DEFAULT_MAX_TERMS,
+    NonPrincipalIdealError,
+    ResourceLimitError,
+    dual_curve,
+)
+from .realroots import count_real_roots, real_singular_points, resultant
 
 __all__ = [
     "ProjPoint",
@@ -98,19 +105,6 @@ class ProjPoint:
     def polar(self) -> "ProjLine":
         """The polar line {y : x0 y0 + x1 y1 + x2 y2 = 0} of this point."""
         return ProjLine(self)
-
-    def incident(self, line: "ProjLine", tol: float = GEOM_TOL) -> bool:
-        a = self.coords
-        b = line.pole.coords
-        if all(isinstance(c, Fraction) for c in a + b):
-            return sum(x * y for x, y in zip(a, b)) == 0
-        dot = sum(x * y for x, y in zip(self.float_coords(), line.pole.float_coords()))
-        scale = max(
-            1e-30,
-            max(abs(v) for v in self.float_coords())
-            * max(abs(v) for v in line.pole.float_coords()),
-        )
-        return abs(dot) <= tol * scale
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
@@ -771,8 +765,8 @@ class VerifyConfig:
     """Knobs for the end-to-end verification run."""
 
     resolution: int = 720
-    max_terms: int = 10_000
-    max_bits: int = 1_000_000
+    max_terms: int = DEFAULT_MAX_TERMS
+    max_bits: int = DEFAULT_MAX_BITS
     lemma_samples: int = 200
     obs2_lines: int = 100
     seed: int = 20230114
@@ -864,9 +858,6 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
     """End-to-end verification: determinant curve, dual curve, duality lemma,
     interior-line realness, singular-point location against the convex set,
     and the hull comparison for pencil bodies."""
-    from .groebner import NonPrincipalIdealError, ResourceLimitError, dual_curve
-    from .realroots import real_singular_points
-
     cfg = config or VerifyConfig()
     rng = np.random.default_rng(cfg.seed)
     report = VerificationReport(body.name)
@@ -1020,7 +1011,9 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
     if isinstance(body, PencilBody):
         m = cfg.resolution
         cloud = sample_kippenhahn_curve(body.pencil, m)
-        boundary = [y for _, y, _ in sample_numrange_boundary(body.pencil, m)]
+        # each direction's first point is its smallest eigenvector's image,
+        # the point sample_numrange_boundary returns
+        boundary = cloud.points[:: body.pencil.n]
         hull = convex_hull(cloud.points)
         dist = hausdorff(hull, boundary)
         tol_hull = cfg.hull_tolerance()

@@ -1,7 +1,11 @@
 """Exact scalars: arbitrary-precision rationals, Gaussian rationals,
 rational intervals and real algebraic numbers, together with the package's
-dense univariate polynomials over the rationals (``UniPoly``) and the one
-Sturm chain that every root count and algebraic-number certificate runs on.
+dense univariate polynomials over the rationals (``UniPoly``, whose one
+interpolation routine takes samples at 0, 1, 2, ...), the one exact
+determinant kernel (``_bareiss``, fraction-free over Gaussian integers) that
+every pencil determinant, definiteness test and resultant sample runs on, and
+the one Sturm chain that every root count and algebraic-number certificate
+runs on.
 
 All values are immutable after construction; every operation is a pure
 function, so sharing between threads is safe.
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Arbitrary-precision rational scalar used throughout the library.  Python's
 # Fraction already enforces the canonical form: reduced, positive denominator,
@@ -504,6 +508,41 @@ def _coerce_complex_interval(v):
     return NotImplemented
 
 
+# --- the exact determinant kernel -------------------------------------------
+
+
+def _bareiss(re, im, swap):
+    """Yield the pivots (p, q) = p + qi of Bareiss elimination on the matrix
+    re + i*im of integer rows, which it overwrites.  Pivot k = 0..n is the k-th
+    leading principal minor of the rows in their current order, negated per
+    row swap: the last is the determinant.  A zero pivot ends the pass unless
+    ``swap`` and a lower nonzero entry in its column allow a swap.  Division by
+    the previous pivot p + qi is exact: by p if q = 0, else times p - qi and
+    // (p^2 + q^2)."""
+    n = len(re)
+    sign, prev_p, prev_q, norm = 1, 1, 0, 1
+    yield 1, 0
+    for k in range(n):
+        if not (re[k][k] or im[k][k]):
+            r = next((r for r in range(k + 1, n) if re[r][k] or im[r][k]), None)
+            if r is None or not swap:
+                yield 0, 0
+                return
+            re[k], re[r], im[k], im[r] = re[r], re[k], im[r], im[k]
+            sign = -sign
+        rk, ik, p, q = re[k], im[k], re[k][k], im[k][k]
+        yield sign * p, sign * q
+        for ri, ii in zip(re[k + 1 :], im[k + 1 :]):
+            a, b = ri[k], ii[k]
+            for j in range(k + 1, n):
+                x = p * ri[j] - q * ii[j] - a * rk[j] + b * ik[j]
+                y = p * ii[j] + q * ri[j] - a * ik[j] - b * rk[j]
+                if prev_q:
+                    x, y = x * prev_p + y * prev_q, y * prev_p - x * prev_q
+                ri[j], ii[j] = x // norm, y // norm
+        prev_p, prev_q, norm = p, q, p * p + q * q if q else p
+
+
 # --- dense univariate polynomials and the Sturm chain --------------------------
 
 
@@ -522,22 +561,26 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @staticmethod
-    def interpolate(xs, ys) -> "UniPoly":
-        """The polynomial of degree < len(xs) through the points
-        (xs[k], ys[k]), by Newton divided differences."""
-        xs = list(xs)
-        c = [Fraction(y) for y in ys]
-        m = len(xs)
+    def interpolate(ys) -> "UniPoly":
+        """The polynomial of degree < m = len(ys) through the points
+        (k, ys[k]), k = 0..m-1: Newton forward differences of the integers
+        D*ys[k], D the common denominator, and one division by D*(m-1)!."""
+        den = lcm(*(y.denominator for y in ys))
+        c = [y.numerator * (den // y.denominator) for y in ys]
+        m = len(c)
         for j in range(1, m):
             for k in range(m - 1, j - 1, -1):
-                c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
-        # expand the Newton form c0 + (x - x0)(c1 + (x - x1)(c2 + ...)) from inside
-        out = [Fraction(0)] * m
+                c[k] -= c[k - 1]
+        # c[k] is now k! times the Newton coefficient; expand (m-1)! times the
+        # Newton form c0 + x(c1 + (x - 1)(c2/2! + ...)) from inside, on the
+        # integers w*c[k] with w = (m-1)!/k!, so w ends as (m-1)!
+        out, w = [0] * m, 1
         for k in range(m - 1, -1, -1):
             for i in range(m - 1, 0, -1):
-                out[i] = out[i - 1] - xs[k] * out[i]
-            out[0] = c[k] - xs[k] * out[0]
-        return UniPoly(out)
+                out[i] = out[i - 1] - k * out[i]
+            out[0] = w * c[k] - k * out[0]
+            w *= k or 1
+        return UniPoly([Fraction(x, den * w) for x in out])
 
     @property
     def is_zero(self) -> bool:
@@ -674,24 +717,6 @@ class UniPoly:
         if a.is_zero:
             return a
         return a.primitive()
-
-    def resultant(self, other: "UniPoly") -> Fraction:
-        """Sylvester resultant, by Euclid's remainder sequence over Q:
-        res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r) for
-        r = a mod b, and res(a, c) = c^deg a for a constant c."""
-        a, b = self, other
-        if a.is_zero or b.is_zero:
-            return Fraction(0)
-        out = Fraction(1)
-        while b.degree > 0:
-            r = a.divmod(b)[1]
-            if r.is_zero:
-                return Fraction(0)
-            if a.degree * b.degree % 2:
-                out = -out
-            out *= b.coeffs[-1] ** (a.degree - r.degree)
-            a, b = b, r
-        return out * b.coeffs[-1] ** a.degree
 
     def squarefree_part(self) -> "UniPoly":
         if self.is_zero:
@@ -855,11 +880,6 @@ class AlgebraicReal:
     @property
     def is_rational(self) -> bool:
         return self.interval.width == 0
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not certified rational")
-        return self.interval.lo
 
     def is_root_of(self, f: UniPoly) -> bool:
         """Exactly decide whether f vanishes at this number.

@@ -16,7 +16,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .exactnum import GaussianRational, ParseError, UniPoly, parse_gaussian
+from .exactnum import GaussianRational, ParseError, UniPoly, _bareiss, parse_gaussian
 from .mpoly import MultiPoly
 
 __all__ = [
@@ -188,10 +188,11 @@ class HermitianPencil:
 
 # --- exact determinant curve -------------------------------------------------
 #
-# Fraction-free Bareiss elimination over Gaussian integers; leading minors are
-# the pivots.  M is scaled once by the common denominator D of its entries:
-# det(M) = det(D M) / D^n.  det(A + sB) is fixed by its values at s = 0..n; a
-# Hermitian matrix at a real s has a real determinant, so a non-real one raises.
+# Fraction-free Bareiss elimination over Gaussian integers
+# (``exactnum._bareiss``); leading minors are the pivots.  M is scaled once by
+# the common denominator D of its entries: det(M) = det(D M) / D^n.
+# det(A + sB) is fixed by its values at s = 0..n; a Hermitian matrix at a real
+# s has a real determinant, so a non-real one raises.
 
 
 def _gaussian_integers(*matrices):
@@ -209,38 +210,6 @@ def _along(A, B, s):
     return tuple([[a + s * b for a, b in zip(*r)] for r in zip(*M)] for M in zip(A, B))
 
 
-def _bareiss(re, im, swap):
-    """Yield the pivots (p, q) = p + qi of Bareiss elimination on the matrix
-    re + i*im of integer rows, which it overwrites.  Pivot k = 0..n is the k-th
-    leading principal minor of the rows in their current order, negated per
-    row swap: the last is the determinant.  A zero pivot ends the pass unless
-    ``swap`` and a lower nonzero entry in its column allow a swap.  Division by
-    the previous pivot p + qi is exact: by p if q = 0, else times p - qi and
-    // (p^2 + q^2)."""
-    n = len(re)
-    sign, prev_p, prev_q, norm = 1, 1, 0, 1
-    yield 1, 0
-    for k in range(n):
-        if not (re[k][k] or im[k][k]):
-            r = next((r for r in range(k + 1, n) if re[r][k] or im[r][k]), None)
-            if r is None or not swap:
-                yield 0, 0
-                return
-            re[k], re[r], im[k], im[r] = re[r], re[k], im[r], im[k]
-            sign = -sign
-        rk, ik, p, q = re[k], im[k], re[k][k], im[k][k]
-        yield sign * p, sign * q
-        for ri, ii in zip(re[k + 1 :], im[k + 1 :]):
-            a, b = ri[k], ii[k]
-            for j in range(k + 1, n):
-                x = p * ri[j] - q * ii[j] - a * rk[j] + b * ik[j]
-                y = p * ii[j] + q * ri[j] - a * ik[j] - b * rk[j]
-                if prev_q:
-                    x, y = x * prev_p + y * prev_q, y * prev_p - x * prev_q
-                ri[j], ii[j] = x // norm, y // norm
-        prev_p, prev_q, norm = p, q, p * p + q * q if q else p
-
-
 def _det_poly(A, B, D) -> UniPoly:
     """det(A + sB) / D^n for n x n Gaussian-integer matrices A, B given as
     (real rows, imaginary rows), interpolated from its values at s = 0..n."""
@@ -251,7 +220,7 @@ def _det_poly(A, B, D) -> UniPoly:
         if im:
             raise ValueError(f"sampled determinant is not real: {re}{im:+}*i / {D**n}")
         ys.append(Fraction(re, D**n))
-    return UniPoly.interpolate(range(n + 1), ys)
+    return UniPoly.interpolate(ys)
 
 
 def pencil_det(P: HermitianPencil) -> MultiPoly:
@@ -269,7 +238,7 @@ def pencil_det(P: HermitianPencil) -> MultiPoly:
     in_x0 = [_det_poly(_along(K, L, t), ident, D).coeffs for t in range(n + 1)]
     terms = {}
     for a, column in enumerate(zip(*in_x0)):
-        for b, c in enumerate(UniPoly.interpolate(range(n + 1), column).coeffs):
+        for b, c in enumerate(UniPoly.interpolate(column).coeffs):
             if not c:
                 continue
             if a + b > n:
@@ -487,6 +456,8 @@ def parse_pencil_text(text: str) -> HermitianPencil:
 
 
 def format_pencil_text(P: HermitianPencil) -> str:
+    """P as K, L sections of the text format that ``parse_pencil_text``
+    reads back: the one writer of pencil files."""
     lines = [f"n {P.n}"]
     for name, M in (("K", P.K), ("L", P.L)):
         lines.append(name)

@@ -143,12 +143,6 @@ class MultiPoly:
         exp[index] = 1
         return cls(variables, {tuple(exp): Fraction(1)})
 
-    def rename_variables(self, variables) -> "MultiPoly":
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise ValueError("variable count mismatch")
-        return MultiPoly(variables, self.terms)
-
     # -- basic queries -----------------------------------------------------
 
     @property

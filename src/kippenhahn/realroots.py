@@ -1,8 +1,9 @@
 """Exact univariate real-root isolation on the Sturm chain of ``exactnum``,
 returning each root as an ``AlgebraicReal``; Sylvester resultants of
-bivariate ``MultiPoly`` systems, sampled at integers, taken with
-``UniPoly.resultant`` and interpolated with ``UniPoly.interpolate``; and the
-real singular points of plane curves.
+bivariate ``MultiPoly`` systems, each sample at t = 0, 1, 2, ... the
+``exactnum._bareiss`` determinant of an integer Sylvester matrix, and the
+samples interpolated with ``UniPoly.interpolate``; and the real singular
+points of plane curves.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .exactnum import (
     AlgebraicReal,
     RationalInterval,
     UniPoly,
+    _bareiss,
     _sturm_chain,
     _variations,
     simplest_in_interval,
@@ -29,7 +31,6 @@ __all__ = [
     "DegenerateSystemError",
     "sturm_isolate",
     "count_real_roots",
-    "roots_all_real",
     "resultant",
     "real_singular_points",
 ]
@@ -103,16 +104,6 @@ def sturm_isolate(f: UniPoly) -> list[AlgebraicReal]:
     return out
 
 
-def roots_all_real(f: UniPoly) -> bool:
-    """Exactly decide whether every complex root of f is real."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    fs = f.squarefree_part()
-    if fs.degree <= 0:
-        return True
-    return count_real_roots(fs) == fs.degree
-
-
 # --- Sylvester resultants ----------------------------------------------------
 
 
@@ -125,12 +116,13 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
     both leading coefficients vanish there.  The inputs are first normalized
     to coprime integer coefficients.
 
-    Evaluation and interpolation (Collins): at the integers t = 0, 1, 2, ...
-    where neither leading coefficient in the eliminated variable vanishes,
-    res(f, g)(t) is the resultant of the specialized univariate polynomials.
-    Its degree is at most df*deg_t g + dg*deg_t f, and, from the degree
-    weights of the Sylvester matrix entries, at most l*dg + m*df - df*dg for
-    total degrees l, m and degrees df, dg in the eliminated variable.
+    Evaluation and interpolation (Collins): for df, dg the degrees in the
+    eliminated variable, the Sylvester matrix has dg shifted rows of f's
+    descending coefficients, then df of g's.  Specialized at an integer t it
+    is an integer matrix whose Bareiss determinant is res(f, g)(t), also where
+    a leading coefficient vanishes, so the samples are t = 0..bound.  The
+    degree is at most df*deg_t g + dg*deg_t f, and, from the degree weights
+    of the matrix entries, at most l*dg + m*df - df*dg for total degrees l, m.
     """
     if f.variables != g.variables or len(f.variables) != 2:
         raise ValueError("resultant expects two polynomials in the same 2 variables")
@@ -143,14 +135,15 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: int) -> UniPoly:
         df * g.degree_in(keep) + dg * f.degree_in(keep),
         f.total_degree * dg + g.total_degree * df - df * dg,
     )
-    xs, ys = [], []
-    t = 0
-    while len(xs) <= bound:
-        if fc[-1](t) and gc[-1](t):
-            xs.append(t)
-            ys.append(UniPoly([c(t) for c in fc]).resultant(UniPoly([c(t) for c in gc])))
-        t += 1
-    return UniPoly.interpolate(xs, ys)
+    n = df + dg
+    ys = []
+    for t in range(bound + 1):
+        a, b = ([c(t).numerator for c in reversed(cs)] for cs in (fc, gc))
+        rows = [[0] * i + a + [0] * (dg - 1 - i) for i in range(dg)]
+        rows += [[0] * i + b + [0] * (df - 1 - i) for i in range(df)]
+        *_, (det, _) = _bareiss(rows, [[0] * n] * n, swap=True)
+        ys.append(det)
+    return UniPoly.interpolate(ys)
 
 
 # --- real singular points ----------------------------------------------------

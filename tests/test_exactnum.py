@@ -20,7 +20,8 @@ from kippenhahn.exactnum import (
     simplest_in_interval,
     sturm_count,
 )
-from kippenhahn.realroots import count_real_roots, sturm_isolate
+from kippenhahn.mpoly import MultiPoly
+from kippenhahn.realroots import count_real_roots, resultant, sturm_isolate
 
 _X = sympy.symbols("x")
 
@@ -313,25 +314,44 @@ class TestUniPolyGcd:
 
 
 class TestUniPolyResultant:
+    """Resultants in one variable, through ``realroots.resultant`` on
+    polynomials in x alone, and the interpolation at 0..m-1 behind every
+    exact resultant and determinant."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_root, max_size=1), _cofactor, _cofactor, st.lists(_root, max_size=2))
     def test_resultant_matches_sympy(self, common, cf, cg, only_g):
-        # a shared root gives 0; one-entry cofactors give constant sides
-        f = _build(common, cf)
-        g = _build(common + only_g, cg)
+        # a shared root gives 0; one-entry cofactors give constant sides.
+        # resultant normalizes its inputs, so the oracle takes them normalized
+        f, g = (
+            MultiPoly(("x", "y"), {(i, 0): c for i, c in enumerate(p) if c}).normalized()
+            for p in (_build(common, cf), _build(common + only_g, cg))
+        )
+        fi, gi = ([int(p.terms.get((i, 0), 0)) for i in range(p.degree_in(0) + 1)] for p in (f, g))
         # sympy 1.14 returns res(g, f) when deg f < deg g: ask with the
         # higher degree first and restore the sign (-1)^(deg f * deg g)
-        m, n = UniPoly(f).degree, UniPoly(g).degree
+        m, n = len(fi) - 1, len(gi) - 1
         if m < n:
-            ref = (-1) ** (m * n) * _sympy_poly(g).resultant(_sympy_poly(f))
+            ref = (-1) ** (m * n) * _sympy_poly(gi).resultant(_sympy_poly(fi))
         else:
-            ref = _sympy_poly(f).resultant(_sympy_poly(g))
-        assert UniPoly(f).resultant(UniPoly(g)) == Fraction(int(ref))
+            ref = _sympy_poly(fi).resultant(_sympy_poly(gi))
+        assert resultant(f, g, eliminate=0) == UniPoly([int(ref)])
 
     def test_interpolate_recovers_polynomial(self):
-        f = UniPoly([3, 0, Fraction(-1, 2), 5])
-        xs = [0, 2, 3, 7]
-        assert UniPoly.interpolate(xs, [f(x) for x in xs]) == f
+        # samples with denominators 1, 6, 3 and 2; extra nodes change nothing
+        f = UniPoly([3, Fraction(1, 3), Fraction(-1, 2), 5])
+        assert [f(k).denominator for k in range(4)] == [1, 6, 3, 2]
+        for m in (4, 6):
+            assert UniPoly.interpolate([f(k) for k in range(m)]) == f
+        assert UniPoly.interpolate([Fraction(-2, 3)]) == UniPoly([Fraction(-2, 3)])
+        assert UniPoly.interpolate([0, 0, 0]).is_zero
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=30), max_size=8), st.integers(0, 3))
+    def test_interpolate_inverts_evaluation(self, coeffs, extra):
+        f = UniPoly(coeffs)
+        ys = [f(k) for k in range(len(coeffs) + extra)]
+        assert UniPoly.interpolate(ys) == f
 
 
 class TestSimplestInInterval:
@@ -459,4 +479,4 @@ class TestAlgebraicReal:
 
     def test_endpoint_root_collapses(self):
         a = AlgebraicReal((-9, 0, 1), RationalInterval(3, 5))
-        assert a.is_rational and a.as_rational() == 3
+        assert a.interval == RationalInterval(3, 3)

@@ -1,0 +1,70 @@
+"""Byte-for-byte CLI transcripts.
+
+Each case runs ``cli.main`` in-process and compares its stdout, stderr and
+exit code with ``tests/golden/<case>.json``: `charpoly`, `dual` and
+`singular` on the eq3 pencil and on the seed-13 pencil of
+``conftest.make_random_pencil``, and `dual` and `singular` on the fermat6
+preset.  `verify` is left out: its floats come from LAPACK.
+
+After a deliberate change of output, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import make_eq3_pencil, make_random_pencil
+from kippenhahn.cli import CONFIG_ENV, main
+from kippenhahn.matrixpencil import format_pencil_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = {
+    "eq3": make_eq3_pencil,
+    "seed13": lambda: make_random_pencil(random.Random(13), 3),
+}
+CASES = {
+    f"{cmd}-{name}": [cmd, "--input", str(GOLDEN / f"{name}.pencil")]
+    for name in INPUTS
+    for cmd in ("charpoly", "dual", "singular")
+}
+CASES.update({f"{cmd}-fermat6": [cmd, "--preset", "fermat6"] for cmd in ("dual", "singular")})
+
+
+def transcript(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(autouse=True)
+def no_config_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "absent.cfg"))
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_input_file_is_the_pencil(name):
+    assert (GOLDEN / f"{name}.pencil").read_text() == format_pencil_text(INPUTS[name]())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_transcript_unchanged(case):
+    expected = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert transcript(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    os.environ[CONFIG_ENV] = str(GOLDEN / "absent.cfg")
+    for name, make in INPUTS.items():
+        (GOLDEN / f"{name}.pencil").write_text(format_pencil_text(make()))
+    for case, argv in CASES.items():
+        text = json.dumps(transcript(argv), indent=1) + "\n"
+        (GOLDEN / f"{case}.json").write_text(text)
+        print(GOLDEN / f"{case}.json")

@@ -425,9 +425,7 @@ class TestDualCurve:
         # the elimination path
         p = parse_poly(APPENDIX_P, V3)
         q = dual_curve(p)
-        composed = q.rename_variables(V3).evaluate(
-            [p.diff(0), p.diff(1), p.diff(2)]
-        )
+        composed = q.evaluate([p.diff(0), p.diff(1), p.diff(2)])
         assert normal_form(composed, [p]).is_zero
 
     def test_rejects_inhomogeneous(self):

@@ -212,7 +212,7 @@ class TestPencilDet:
             with pytest.raises(ValueError, match="not real"):
                 pencil_det(P)
         with monkeypatch.context() as m:
-            m.setattr(UniPoly, "interpolate", staticmethod(lambda xs, ys: UniPoly([1] * len(ys))))
+            m.setattr(UniPoly, "interpolate", staticmethod(lambda ys: UniPoly([1] * len(ys))))
             with pytest.raises(ValueError, match="not homogeneous"):
                 pencil_det(P)
 

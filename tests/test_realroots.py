@@ -20,7 +20,6 @@ from kippenhahn.realroots import (
     count_real_roots,
     real_singular_points,
     resultant,
-    roots_all_real,
     sturm_isolate,
 )
 
@@ -105,17 +104,6 @@ class TestCountRealRoots:
             assert count_real_roots(f, roots[0], roots[-1]) == len(roots) - 1
 
 
-class TestRootsAllReal:
-    def test_spread_cubic(self):
-        assert roots_all_real(UniPoly([0, -2, 0, 1]))  # 0, +-sqrt2
-
-    def test_complex_pair(self):
-        assert not roots_all_real(UniPoly([1, 0, 1]))
-
-    def test_sixth_roots(self):
-        assert not roots_all_real(UniPoly([1, 0, 0, 0, 0, 0, -1]))
-
-
 class TestResultant:
     def test_circle_line(self):
         f = parse_poly("a^2 + b^2 - 1", V2)
@@ -172,13 +160,14 @@ _small_poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
 
 
 @st.composite
-def _eliminable(draw, z, t):
+def _eliminable(draw, z, t, drops=False):
     """An integer polynomial of degree 0..3 in z whose leading coefficient in
     z is a polynomial in t times a subset of t, t - 1, t - 2, so that the
-    resultant's samples at those integers must be skipped."""
-    d = draw(st.integers(0, 3))
+    degree in z drops at some of the resultant's first samples.  With
+    ``drops`` the degree is positive and the subset is not empty."""
+    d = draw(st.integers(1 if drops else 0, 3))
     lead = sum(c * t**j for j, c in enumerate(draw(_small_poly.filter(any))))
-    for r in draw(st.sets(st.sampled_from([0, 1, 2]))):
+    for r in draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1 if drops else 0)):
         lead = lead * (t - r)
     p = lead * z**d
     for k in range(d):
@@ -200,10 +189,21 @@ class TestResultantMatchesSympy:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_random_bivariate(self, data):
+        self._check(data, drops=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_leading_coefficient_vanishes_at_a_sample(self, data):
+        # f's degree in z drops at one or more of t = 0, 1, 2: the Sylvester
+        # matrix keeps the formal degrees there, and no sample is skipped
+        self._check(data, drops=True)
+
+    @staticmethod
+    def _check(data, drops):
         eliminate = data.draw(st.integers(0, 1))
         z = MultiPoly.variable(V2, eliminate)
         t = MultiPoly.variable(V2, 1 - eliminate)
-        f = data.draw(_eliminable(z, t))
+        f = data.draw(_eliminable(z, t, drops))
         g = data.draw(_eliminable(z, t))
         if data.draw(st.booleans()):
             # a shared factor of positive degree in z: the resultant is 0
