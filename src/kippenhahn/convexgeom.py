@@ -21,6 +21,9 @@ from .exactnum import (
     ComplexInterval,
     RationalInterval,
     UniPoly,
+    _mul_range,
+    _ordered,
+    _over_common_den,
 )
 from .mpoly import MultiPoly, parse_poly
 from .matrixpencil import (
@@ -458,26 +461,27 @@ def line_curve_real_check(body, e, direction) -> LineRealResult:
 
 @dataclass
 class PointCloud:
-    """Finite planar point set with its generation metadata."""
+    """Finite planar point set with its generation metadata; ``points`` is
+    held as one (N, 2) float64 array."""
 
-    points: list
+    points: np.ndarray
     thetas: list = field(default_factory=list)
     branches: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for x, y in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("point cloud contains a non-finite entry")
+        self.points = np.asarray(self.points, float).reshape(-1, 2)
+        if not np.isfinite(self.points).all():
+            raise ValueError("point cloud contains a non-finite entry")
 
     def __len__(self):
         return len(self.points)
 
     def to_csv(self) -> str:
         lines = ["theta,y1,y2,branch"]
-        for i, (x, y) in enumerate(self.points):
-            theta = self.thetas[i] if self.thetas else float("nan")
-            branch = self.branches[i] if self.branches else 0
+        for i, (x, y) in enumerate(self.points.tolist()):
+            theta = self.thetas[i] if len(self.thetas) else float("nan")
+            branch = self.branches[i] if len(self.branches) else 0
             lines.append(f"{theta:.12e},{x:.12e},{y:.12e},{branch}")
         return "\n".join(lines) + "\n"
 
@@ -492,9 +496,9 @@ def sample_kippenhahn_curve(P: HermitianPencil, m: int) -> PointCloud:
     thetas, _, images = _direction_sweep(P, m)
     n = P.n
     return PointCloud(
-        [(float(y1), float(y2)) for y1, y2 in images.reshape(-1, 2)],
-        [theta for theta in thetas for _ in range(n)],
-        list(range(n)) * m,
+        images.reshape(-1, 2),
+        np.repeat(thetas, n),
+        np.tile(np.arange(n), m),
         meta={"m": m, "n": n},
     )
 
@@ -619,10 +623,7 @@ def _coords_as_wpolys(coords):
                 signs[i] = s
         elif isinstance(c, float):
             raise ValueError("this check needs exact coordinates")
-    den = 1
-    for c in coords:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coords if isinstance(c, Fraction)))
     polys = []
     for i, c in enumerate(coords):
         if isinstance(c, AlgebraicReal):
@@ -664,10 +665,28 @@ def _polar_line_param(point_coords, eps):
 
 
 def _horner(coeffs, t: ComplexInterval) -> ComplexInterval:
-    acc = ComplexInterval(RationalInterval.point(0))
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+    """Complex interval Horner value of the nonempty ascending ``coeffs`` at
+    t, each step acc*t (re*re - im*im, re*im + im*re) + c, on integers: the
+    coefficient endpoints over one denominator Dc and t's over one Dt, so
+    that after k + 1 steps acc is an integer box over Dc*Dt^k.  Each endpoint
+    is reduced once, at the end."""
+    ends, dc = _over_common_den(
+        [x for c in coeffs for x in (c.re.lo, c.re.hi, c.im.lo, c.im.hi)]
+    )
+    (a, b, c, d), dt = _over_common_den([t.re.lo, t.re.hi, t.im.lo, t.im.hi])
+    rl, rh, il, ih = ends[-4:]
+    w = 1
+    for k in range(len(ends) - 8, -1, -4):
+        w *= dt
+        (p0, p1), (q0, q1) = _mul_range(rl, rh, a, b), _mul_range(il, ih, c, d)
+        (u0, u1), (v0, v1) = _mul_range(rl, rh, c, d), _mul_range(il, ih, a, b)
+        rl, rh = p0 - q1 + ends[k] * w, p1 - q0 + ends[k + 1] * w
+        il, ih = u0 + v0 + ends[k + 2] * w, u1 + v1 + ends[k + 3] * w
+    den = dc * w
+    return ComplexInterval(
+        _ordered(Fraction(rl, den), Fraction(rh, den)),
+        _ordered(Fraction(il, den), Fraction(ih, den)),
+    )
 
 
 def tangency_check(p: MultiPoly, y: ProjPoint):
@@ -1029,7 +1048,7 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
             qn = q.normalized()
             norm1 = sum(abs(c) for c in qn.terms.values())
             worst = max(
-                abs(qn.evaluate((1.0, y1, y2))) for y1, y2 in cloud.points
+                abs(qn.evaluate((1.0, y1, y2))) for y1, y2 in cloud.points.tolist()
             )
             rel = worst / float(norm1)
             status = "pass" if rel <= 1e-6 else "fail"

@@ -7,6 +7,13 @@ every pencil determinant, definiteness test and resultant sample runs on, and
 the one Sturm chain that every root count and algebraic-number certificate
 runs on.
 
+Certification arithmetic runs on integers over one common positive
+denominator (``_over_common_den``), reduced once at the end or, for a sign,
+never: ``UniPoly``'s integer Horner, the Sturm remainders (integer
+pseudo-remainders), and Moore's interval product and power (``_mul_range``,
+``_pow_range``).  Positive scaling commutes exactly with each, so results
+equal those of the same arithmetic on ``Fraction``s.
+
 All values are immutable after construction; every operation is a pure
 function, so sharing between threads is safe.
 """
@@ -51,6 +58,47 @@ def power(base, n, one):
         if n:
             base = base * base
     return result
+
+
+def _over_common_den(qs):
+    """The ints or Fractions ``qs`` as integers over their least common
+    denominator: (nums, den) with qs[k] = nums[k] / den and den > 0."""
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _mul_range(a, b, c, d):
+    """(lo, hi) of x*y over a <= x <= b, c <= y <= d, for ints or Fractions:
+    the nine sign cases of Moore (1966); only when both ranges straddle 0 do
+    the extremes need four products and two comparisons."""
+    if a.numerator >= 0:
+        if c.numerator >= 0:
+            return a * c, b * d
+        if d.numerator <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b.numerator <= 0:
+        if c.numerator >= 0:
+            return a * d, b * c
+        if d.numerator <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c.numerator >= 0:
+        return a * d, b * d
+    if d.numerator <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def _pow_range(a, b, n):
+    """(lo, hi) of x**n over a <= x <= b, n >= 0: odd powers are monotone;
+    even ones run between the endpoint moduli, from 0 when 0 lies inside."""
+    if n % 2:
+        return a**n, b**n
+    lo, hi = sorted((abs(a), abs(b)))
+    if a <= 0 <= b:
+        lo = 0
+    return lo**n, hi**n
 
 
 class ParseError(ValueError):
@@ -312,41 +360,14 @@ class RationalInterval:
         other = _coerce_interval(other)
         if other is NotImplemented:
             return NotImplemented
-        # the nine sign cases of [a, b] * [c, d] (Moore 1966): only when both
-        # straddle 0 do the extremes need four products and two comparisons
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a.numerator >= 0:
-            if c.numerator >= 0:
-                return _ordered(a * c, b * d)
-            if d.numerator <= 0:
-                return _ordered(b * c, a * d)
-            return _ordered(b * c, b * d)
-        if b.numerator <= 0:
-            if c.numerator >= 0:
-                return _ordered(a * d, b * c)
-            if d.numerator <= 0:
-                return _ordered(b * d, a * c)
-            return _ordered(a * d, a * c)
-        if c.numerator >= 0:
-            return _ordered(a * d, b * d)
-        if d.numerator <= 0:
-            return _ordered(b * c, a * c)
-        return _ordered(min(a * d, b * c), max(a * c, b * d))
+        return _ordered(*_mul_range(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if n == 0:
-            return RationalInterval(1, 1)
-        if n % 2 == 1:
-            return RationalInterval(self.lo**n, self.hi**n)
-        lo_abs = min(abs(self.lo), abs(self.hi))
-        if self.contains_zero():
-            lo_abs = Fraction(0)
-        hi_abs = max(abs(self.lo), abs(self.hi))
-        return RationalInterval(lo_abs**n, hi_abs**n)
+        return RationalInterval(*_pow_range(self.lo, self.hi, n))
 
     def reciprocal(self) -> "RationalInterval":
         if self.contains_zero():
@@ -549,13 +570,16 @@ def _bareiss(re, im, swap):
 class UniPoly:
     """Univariate polynomial, ascending Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    # _scaled caches the integer form (numerators over the common
+    # denominator, highest first; that denominator) for _horner
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -565,8 +589,7 @@ class UniPoly:
         """The polynomial of degree < m = len(ys) through the points
         (k, ys[k]), k = 0..m-1: Newton forward differences of the integers
         D*ys[k], D the common denominator, and one division by D*(m-1)!."""
-        den = lcm(*(y.denominator for y in ys))
-        c = [y.numerator * (den // y.denominator) for y in ys]
+        c, den = _over_common_den(ys)
         m = len(c)
         for j in range(1, m):
             for k in range(m - 1, j - 1, -1):
@@ -590,30 +613,39 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def _horner(self, x):
+        """(acc, den) with f(x) = acc / den and den > 0, for an int or
+        Fraction x = p/q: Horner on the integers L*c_i, L the common
+        denominator, so acc = sum L c_i p^i q^(d-i) and den = L q^d."""
+        if self._scaled is None:
+            nums, den = _over_common_den(self.coeffs)
+            object.__setattr__(self, "_scaled", (nums[::-1] or [0], den))
+        (acc, *rest), den = self._scaled
+        p, q = x.numerator, x.denominator
+        qk = 1
+        for c in rest:
+            qk *= q
+            acc = acc * p + c * qk
+        return acc, den * qk
+
     def __call__(self, x):
-        cs = self.coeffs
-        if cs and isinstance(x, (int, Fraction)):
-            # Horner on integers: with L the lcm of the coefficient
-            # denominators and x = p/q, f(x) = sum (L c_i) p^i q^(d-i) / (L q^d),
-            # reduced by one gcd at the end instead of one per step
-            lcm = 1
-            for c in cs:
-                den = c.denominator
-                if den != 1:
-                    lcm = lcm * den // gcd(lcm, den)
-            p, q = x.numerator, x.denominator
-            acc = cs[-1].numerator * (lcm // cs[-1].denominator)
-            qk = 1
-            for i in range(len(cs) - 2, -1, -1):
-                qk *= q
-                acc = acc * p + cs[i].numerator * (lcm // cs[i].denominator) * qk
-            return Fraction(acc, lcm * qk)
+        """f(x): at an int or Fraction, the integer Horner reduced by one gcd
+        at the end; at any other ring element (an interval, say), Horner in
+        that ring."""
+        if isinstance(x, (int, Fraction)):
+            return Fraction(*self._horner(x))
         acc = None
-        for c in reversed(cs):
+        for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         if acc is None:
             return Fraction(0)
         return acc
+
+    def sign_at(self, x) -> int:
+        """The sign (-1, 0 or 1) of f at an int or Fraction x, read off the
+        integer Horner's numerator; nothing is reduced."""
+        acc = self._horner(x)[0]
+        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -695,28 +727,18 @@ class UniPoly:
 
     def scaled_primitive(self) -> "UniPoly":
         """Scale by a positive rational to coprime integers (sign preserved)."""
-        if self.is_zero:
-            return self
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return UniPoly(
-            [c.numerator * (den // c.denominator) // num for c in self.coeffs]
-        )
+        return UniPoly(_primitive_ints(self.coeffs))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd, by a remainder sequence whose every member is
-        scaled back to coprime integers (Brown-Traub primitive PRS), so the
-        coefficients stay near the size of the inputs' instead of growing
-        as in Euclid over the rationals."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1].scaled_primitive()
-        if a.is_zero:
-            return a
-        return a.primitive()
+        """Primitive gcd, by a remainder sequence of integer
+        pseudo-remainders, each scaled back to coprime integers (Brown-Traub
+        primitive PRS, ``_prs_remainder``), so the coefficients stay near the
+        size of the inputs' instead of growing as in Euclid over the
+        rationals."""
+        a, b = _primitive_ints(self.coeffs), _primitive_ints(other.coeffs)
+        while b:
+            a, b = b, _prs_remainder(a, b)
+        return UniPoly(a).primitive()
 
     def squarefree_part(self) -> "UniPoly":
         if self.is_zero:
@@ -764,21 +786,48 @@ def _coerce_unipoly(v):
     return NotImplemented
 
 
+def _primitive_ints(coeffs) -> list:
+    """The ints or Fractions ``coeffs`` scaled by a positive rational to
+    coprime integers (sign preserved); [] for zero."""
+    nums, _ = _over_common_den(coeffs)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(*nums)
+    return [c // g for c in nums]
+
+
+def _prs_remainder(a: list, b: list) -> list:
+    """The next member after a, b (ascending coprime integers, b nonzero) of
+    a Sturm sequence: the primitive part of -rem(a, b).  The pseudo-remainder
+    scales by |lc(b)| > 0 and subtracts sign(lc(b)) times the top, so it is a
+    positive multiple of the remainder over Q and keeps its signs."""
+    r, db = list(a), len(b) - 1
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) > db:
+        top = r.pop() * s
+        if top:
+            shift = len(r) - db
+            if m != 1:
+                r = [m * c for c in r]
+            for i in range(db):
+                r[shift + i] -= top * b[i]
+    return _primitive_ints([-c for c in r])
+
+
 def _sturm_chain(f: UniPoly):
     """Sturm chain of a nonzero f, each member rescaled to coprime integers
     by a positive rational; the sign structure is what the root count lives
-    on.  When the last member, gcd(f, f'), is not constant, every member is
-    divided by it, so that a multiple root at an interval end is counted
-    like a simple one."""
-    chain = [f.scaled_primitive()]
-    d = f.derivative()
-    if not d.is_zero:
-        chain.append(d.scaled_primitive())
-        while True:
-            r = chain[-2].divmod(chain[-1])[1]
-            if r.is_zero:
-                break
-            chain.append((-r).scaled_primitive())
+    on.  The members after f' come from integer pseudo-remainders
+    (``_prs_remainder``).  When the last member, gcd(f, f'), is not constant,
+    every member is divided by it, so that a multiple root at an interval end
+    is counted like a simple one."""
+    rows = [_primitive_ints(f.coeffs)]
+    d = _primitive_ints([i * c for i, c in enumerate(rows[0])][1:])
+    if d:
+        rows.append(d)
+        while r := _prs_remainder(rows[-2], rows[-1]):
+            rows.append(r)
+    chain = [UniPoly(r) for r in rows]
     g = chain[-1]
     if g.degree > 0:
         chain = [h.divmod(g)[0] for h in chain]
@@ -788,9 +837,9 @@ def _sturm_chain(f: UniPoly):
 def _variations(chain, x) -> int:
     signs = []
     for p in chain:
-        v = p(x)
+        v = p.sign_at(x)
         if v:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -862,7 +911,7 @@ class AlgebraicReal:
         interval = RationalInterval(interval.lo, interval.hi)
         # collapse endpoint roots to exact points up front
         for end in (interval.lo, interval.hi):
-            if f(end) == 0:
+            if not f.sign_at(end):
                 interval = RationalInterval(end, end)
                 break
         if interval.width > 0:
@@ -895,7 +944,7 @@ class AlgebraicReal:
             return False
         iv = self.interval
         if iv.width == 0:
-            return g(iv.lo) == 0
+            return not g.sign_at(iv.lo)
         return sturm_count(g.int_coeffs(), iv.lo, iv.hi) == 1
 
     def refine(self, eps) -> RationalInterval:
@@ -908,13 +957,13 @@ class AlgebraicReal:
             return iv
         f = UniPoly(self.poly)
         lo, hi = iv.lo, iv.hi
-        sign_lo = 1 if f(lo) > 0 else -1
+        sign_lo = 1 if f.sign_at(lo) > 0 else -1
         while hi - lo > eps:
             mid = (lo + hi) / 2
-            v = f(mid)
+            v = f.sign_at(mid)
             if v == 0:
                 return RationalInterval(mid, mid)
-            if (1 if v > 0 else -1) == sign_lo:
+            if v == sign_lo:
                 lo = mid
             else:
                 hi = mid

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
+from .exactnum import _over_common_den
 from .mpoly import MultiPoly, MonomialOrder, elimination_order, grevlex_order
 
 __all__ = [
@@ -115,14 +116,11 @@ def _degree_cap(degree):
 def _to_internal(f: MultiPoly, pk: _Packing):
     if f.is_zero:
         return []
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
     terms = []
-    for e, c in f.terms.items():
+    for e, c in zip(f.terms, _over_common_den(f.terms.values())[0]):
         if sum(e) >= LIMIT:
             raise _degree_cap(sum(e))
-        terms.append((pk.pack(pk.order.key(e)), pk.pack(e), int(c * den)))
+        terms.append((pk.pack(pk.order.key(e)), pk.pack(e), c))
     terms.sort(key=lambda t: t[0], reverse=True)
     return _strip_content(terms)
 

@@ -6,6 +6,11 @@ coefficients, and carries no monomial order.  Its sorting, leading term and
 normalization use graded reverse lexicographic order; the orders here are
 small key objects that a caller (a Groebner basis computation, through its
 ``Ideal``) passes where it needs lexicographic or block elimination order.
+
+Evaluation at a point of rationals and rational intervals runs on Python
+integers: the coordinates over one common denominator D, the coefficients
+over one L, each term scaled to the common denominator L*D^deg, and one
+division at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +21,16 @@ from functools import cache
 from itertools import compress, repeat
 from math import gcd, inf
 
-from .exactnum import ParseError, UniPoly, power
+from .exactnum import (
+    ParseError,
+    RationalInterval,
+    UniPoly,
+    _mul_range,
+    _ordered,
+    _over_common_den,
+    _pow_range,
+    power,
+)
 
 __all__ = [
     "MonomialOrder",
@@ -281,9 +295,16 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Exact evaluation at a point of any ring with +, * and ** (Fraction,
-        GaussianRational, float/complex, RationalInterval, ComplexInterval)."""
+        GaussianRational, float/complex, RationalInterval, ComplexInterval).
+
+        At a point of ints, Fractions and RationalIntervals the value is a
+        Fraction, or the interval enclosure (Moore's rules, even powers
+        tight) once a term involves an interval coordinate, computed on
+        integers by ``_evaluate_rational``."""
         if len(point) != len(self.variables):
             raise ValueError("point length does not match variable count")
+        if all(isinstance(v, (int, Fraction, RationalInterval)) for v in point):
+            return _evaluate_rational(self.terms, point)
         acc = None
         for exp, c in self.sorted_terms():
             term = c
@@ -301,12 +322,8 @@ class MultiPoly:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if not self.terms:
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        nums, den = _over_common_den(self.terms.values())
+        return Fraction(gcd(*nums), den)
 
     def normalized(self) -> "MultiPoly":
         """Scale to coprime integer coefficients with positive leading coefficient.
@@ -437,6 +454,38 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)!r})"
+
+
+def _evaluate_rational(terms, point):
+    """Sum of c*X^e over a point of ints, Fractions and RationalIntervals:
+    with the coordinate endpoints over one denominator D and the
+    coefficients over one L, each term c*X^e*D^(deg - |e|) is an integer
+    range, built from one power range per (variable, exponent), and the sum
+    is divided once by L*D^deg.  A number is the point range [x, x]."""
+    if not terms:
+        return Fraction(0)
+    boxed = [isinstance(v, RationalInterval) for v in point]
+    ends, den = _over_common_den(
+        [x for v, b in zip(point, boxed) for x in ((v.lo, v.hi) if b else (v, v))]
+    )
+    coeffs, cden = _over_common_den(terms.values())
+    deg = max(map(sum, terms))
+    dpow = [den**k for k in range(deg + 1)]
+    powers = {}
+    lo_sum = hi_sum = 0
+    for exp, c in zip(terms, coeffs):
+        lo = hi = c * dpow[deg - sum(exp)]
+        for i, e in enumerate(exp):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = _pow_range(ends[2 * i], ends[2 * i + 1], e)
+                lo, hi = _mul_range(lo, hi, *powers[i, e])
+        lo_sum += lo
+        hi_sum += hi
+    scale = cden * dpow[deg]
+    if not any(e and b for exp in terms for e, b in zip(exp, boxed)):
+        return Fraction(lo_sum, scale)
+    return _ordered(Fraction(lo_sum, scale), Fraction(hi_sum, scale))
 
 
 # --- multivariate gcd -------------------------------------------------------

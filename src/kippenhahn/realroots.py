@@ -80,7 +80,7 @@ def sturm_isolate(f: UniPoly) -> list[AlgebraicReal]:
     def split_point(a: Fraction, b: Fraction) -> Fraction:
         for num, den in ((1, 2), (1, 4), (3, 4), (1, 3), (2, 3)):
             cand = a + (b - a) * Fraction(num, den)
-            if fs(cand):
+            if fs.sign_at(cand):
                 return cand
         raise PrecisionError(f"could not split ({a}, {b})")
 
@@ -224,7 +224,7 @@ def _rationalize_root(root: AlgebraicReal) -> object:
     if iv.width == 0:
         return iv.lo
     cand = simplest_in_interval(iv.lo, iv.hi)
-    if UniPoly(root.poly)(cand) == 0:
+    if not UniPoly(root.poly).sign_at(cand):
         return cand
     # root.poly is the squarefree polynomial sturm_isolate certified, and iv,
     # from bisection inside root's certified isolating interval, keeps a sign
@@ -321,7 +321,8 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
             for root in sturm_isolate(g):
                 # isolating endpoints are not roots: g changes sign across a
                 # root exactly when its multiplicity is odd
-                if (g(root.interval.lo) > 0) != (g(root.interval.hi) > 0):
+                iv = root.interval
+                if (g.sign_at(iv.lo) > 0) != (g.sign_at(iv.hi) > 0):
                     return False
                 verdict = None
         i0, j0 = i1, j1

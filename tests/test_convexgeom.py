@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_pencil
 from kippenhahn.convexgeom import (
@@ -12,6 +14,7 @@ from kippenhahn.convexgeom import (
     PointCloud,
     ProjLine,
     ProjPoint,
+    _horner,
     _support_sweep,
     check_lemma_ws,
     convex_hull,
@@ -289,6 +292,24 @@ class TestKippenhahnCloud:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PointCloud([(0.0, math.inf)])
+        with pytest.raises(ValueError):
+            PointCloud(np.array([[1.0, 2.0], [math.nan, 0.0]]))
+
+    def test_points_are_one_array(self):
+        n, m = 3, 40
+        cloud = sample_kippenhahn_curve(eq3_body().pencil, m)
+        assert cloud.points.shape == (n * m, 2) and cloud.points.dtype == np.float64
+        assert len(cloud) == n * m
+
+    def test_list_and_array_give_the_same_csv(self):
+        pts = [(0.5, -1.25), (1e-7, 3.0), (-2.0, 0.0)]
+        thetas, branches = [0.0, 0.0, math.pi / 3], [0, 1, 0]
+        from_list = PointCloud(pts, thetas, branches)
+        from_array = PointCloud(np.array(pts), np.array(thetas), np.array(branches))
+        assert from_list.to_csv() == from_array.to_csv()
+        assert PointCloud(pts).to_csv() == PointCloud(np.array(pts)).to_csv()
+        row = PointCloud(pts).to_csv().splitlines()[1]
+        assert row == "nan,5.000000000000e-01,-1.250000000000e+00,0"
 
 
 class TestHullAndHausdorff:
@@ -328,12 +349,13 @@ class TestHullAndHausdorff:
         assert hausdorff(hull, boundary) <= 24.0 / m**2 + 1e-12
         # run_verification reads the boundary samples off the cloud: the first
         # point of each direction is its smallest eigenvector's image
-        assert cloud.points[:: body.pencil.n] == boundary
+        assert cloud.points[:: body.pencil.n].tolist() == [list(y) for y in boundary]
         for seed, n in ((13, 3), (5, 5)):
             P = make_random_pencil(random.Random(seed), n)
             for m in (48, 120):
                 boundary = [y for _, y, _ in sample_numrange_boundary(P, m)]
-                assert sample_kippenhahn_curve(P, m).points[::n] == boundary
+                points = sample_kippenhahn_curve(P, m).points
+                assert points[::n].tolist() == [list(y) for y in boundary]
 
 
 class TestTangency:
@@ -384,6 +406,32 @@ class TestTangency:
         a, b = wits
         assert a.x1.re.intersect(b.x1.re) is not None
         assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
+
+
+_end = st.fractions(min_value=-5, max_value=5, max_denominator=24)
+_iv = st.lists(_end, min_size=2, max_size=2).map(sorted).map(lambda e: RationalInterval(*e))
+_box = st.builds(ComplexInterval, _iv, _iv)
+
+
+class TestIntegerHorner:
+    """``_horner`` runs on integers over common denominators; it must give
+    the very box the ComplexInterval Horner gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_box, min_size=1, max_size=7), _box)
+    @example([ComplexInterval(RationalInterval(1, 2))], ComplexInterval(Fraction(1, 3)))
+    @example(
+        [ComplexInterval(RationalInterval(Fraction(-1, 2), 3)), ComplexInterval(-2)],
+        ComplexInterval(RationalInterval(Fraction(1, 3), Fraction(1, 2)), Fraction(-1, 5)),
+    )
+    def test_matches_complex_interval_horner(self, coeffs, t):
+        acc = ComplexInterval(RationalInterval.point(0))
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        got = _horner(coeffs, t)
+        assert (got.re, got.im) == (acc.re, acc.im)
+        for end in (got.re.lo, got.re.hi, got.im.lo, got.im.hi):
+            assert type(end) is Fraction
 
 
 class TestRestrictionPoly:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn.exactnum import (
+    _sturm_chain,
     AlgebraicReal,
     ComplexInterval,
     GaussianRational,
@@ -259,6 +261,25 @@ class TestExactKernels:
             cases.add((iv1.sign(), iv2.sign()))
         assert len(cases) == 9
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_rational, max_size=8), st.integers(-40, 40) | _rational)
+    @example([], Fraction(1, 3))
+    @example([-2, 0, 1], 0)
+    @example([Fraction(-1, 4), 0, 1], Fraction(1, 2))
+    def test_sign_at_is_the_sign_of_the_value(self, cs, x):
+        f = UniPoly(cs)
+        v = sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(cs)), Fraction(0))
+        assert f.sign_at(x) == (v > 0) - (v < 0) == (f(x) > 0) - (f(x) < 0)
+        assert type(f.sign_at(x)) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(_interval, st.integers(0, 7))
+    def test_interval_power_is_the_range(self, iv, n):
+        # x**n over [lo, hi] takes its extremes at the ends, or at 0 inside
+        cands = [iv.lo**n, iv.hi**n] + ([Fraction(0) ** n] if iv.contains_zero() else [])
+        out = iv**n
+        assert (out.lo, out.hi) == (min(cands), max(cands))
+
     @settings(max_examples=100, deadline=None)
     @given(_interval, _interval)
     def test_interval_sum_difference_negation(self, iv1, iv2):
@@ -286,6 +307,64 @@ class TestSturmCount:
         expected = ref.count_roots(lo, hi) - (1 if ref.eval(lo) == 0 else 0)
         assert sturm_count(poly, lo, hi) == expected
         assert count_real_roots(UniPoly(poly), lo, hi) == expected
+
+
+def _coprime(cs):
+    """Fractions scaled by a positive rational to coprime integers."""
+    den = 1
+    for c in cs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return UniPoly([c // g for c in ints])
+
+
+def _fraction_chain(f):
+    """Sturm chain from remainders over Q: f, f', then -rem(prev, last), each
+    scaled to coprime integers, divided by the last member when it is not
+    constant."""
+    chain = [_coprime(f.coeffs)]
+    d = f.derivative()
+    if not d.is_zero:
+        chain.append(_coprime(d.coeffs))
+        while True:
+            r = chain[-2].divmod(chain[-1])[1]
+            if r.is_zero:
+                break
+            chain.append(_coprime([-c for c in r.coeffs]))
+    if chain[-1].degree > 0:
+        chain = [h.divmod(chain[-1])[0] for h in chain]
+    return chain
+
+
+class TestSturmChain:
+    """The integer pseudo-remainder chain against remainders over Q."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_root, max_size=4),
+        _cofactor,
+        st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+    )
+    @example([], [5], Fraction(1))
+    @example([(1, 1, 2), (-2, 1, 1)], [1], Fraction(-1, 3))
+    @example([(3, 2, 3), (0, 1, 2)], [-2, 0, 1], Fraction(2, 5))
+    def test_matches_fraction_remainders(self, roots, cofactor, scale):
+        # multiplicities 1 to 3 give squarefree and repeated-root inputs;
+        # the scale gives rational coefficients and negative leads
+        f = UniPoly([c * scale for c in _build(roots, cofactor)])
+        chain = _sturm_chain(f)
+        assert [p.coeffs for p in chain] == [p.coeffs for p in _fraction_chain(f)]
+
+    def test_squarefree_and_repeated_examples_are_drawn(self):
+        sqfree = UniPoly(_build([(1, 1, 1), (-2, 1, 1), (3, 2, 1)], [1]))
+        repeated = UniPoly(_build([(1, 1, 2), (-2, 1, 3)], [-3]))
+        assert _sturm_chain(sqfree)[0].degree == 3
+        assert _sturm_chain(repeated)[0].degree == 2
+        for f in (sqfree, repeated):
+            assert [p.coeffs for p in _sturm_chain(f)] == [
+                p.coeffs for p in _fraction_chain(f)
+            ]
 
 
 class TestUniPolyGcd:

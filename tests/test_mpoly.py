@@ -4,6 +4,8 @@ from math import inf
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kippenhahn.exactnum import GaussianRational, ParseError, RationalInterval, UniPoly
 from kippenhahn.mpoly import (
@@ -179,6 +181,100 @@ class TestEvaluate:
         val = fermat().evaluate((Fraction(1), x1, x2))
         assert val.contains_zero()
         assert float(val.re.width) < 1e-20 and float(val.im.width) < 1e-20
+
+
+def _range_of_term(c, point, exp):
+    """Exact range of c * prod x_i^e_i over a box, a Fraction when no factor
+    is an interval: the range of x^e from its candidate extremes (the ends,
+    and 0 inside), then endpoint products of independent factors."""
+    lo = hi = c
+    boxed = False
+    for v, e in zip(point, exp):
+        if not e:
+            continue
+        if isinstance(v, RationalInterval):
+            boxed = True
+            a, b = v.lo, v.hi
+        else:
+            a = b = Fraction(v)
+        cands = [a**e, b**e] + ([Fraction(0)] if a < 0 < b else [])
+        plo, phi = min(cands), max(cands)
+        prods = [x * y for x in (lo, hi) for y in (plo, phi)]
+        lo, hi = min(prods), max(prods)
+    return lo, hi, boxed
+
+
+def _reference_evaluate(f, point):
+    """Term-by-term sum of the exact term ranges: an interval once a term
+    involves an interval coordinate, else a Fraction."""
+    lo = hi = Fraction(0)
+    boxed = False
+    for exp, c in f.terms.items():
+        tlo, thi, tboxed = _range_of_term(c, point, exp)
+        lo, hi, boxed = lo + tlo, hi + thi, boxed or tboxed
+    return RationalInterval(lo, hi) if boxed else lo
+
+
+def _xy(terms):
+    return MultiPoly(("x", "y"), terms)
+
+
+_coef = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_poly2 = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), _coef, max_size=6
+).map(_xy)
+_num = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=8)
+_box = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=16), min_size=2, max_size=2
+).map(sorted).map(lambda ends: RationalInterval(*ends))
+
+
+class TestEvaluateOnIntegers:
+    """Evaluation at rationals and rational boxes, which runs on integers over
+    one common denominator, against term-by-term references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_poly2, st.tuples(_box | _num, _box | _num))
+    @example(_xy({}), (RationalInterval(-1, 2), 3))  # zero polynomial
+    @example(_xy({(0, 0): Fraction(-5, 3)}), (RationalInterval(-1, 2), RationalInterval(0, 1)))
+    # even and odd powers over boxes straddling 0
+    @example(
+        _xy({(2, 0): 1, (0, 3): Fraction(1, 2)}),
+        (RationalInterval(Fraction(-1, 2), 2), RationalInterval(-2, Fraction(1, 3))),
+    )
+    # a point interval beside a number
+    @example(_xy({(4, 1): -2, (1, 0): 1}), (RationalInterval.point(Fraction(1, 3)), Fraction(-2, 7)))
+    # numbers beside intervals, the interval's variable absent or present
+    @example(_xy({(2, 0): 1, (0, 0): 3}), (3, RationalInterval(0, 1)))
+    @example(
+        _xy({(2, 2): Fraction(3, 4), (0, 1): -1}),
+        (-2, RationalInterval(Fraction(-3, 2), Fraction(-1, 4))),
+    )
+    def test_box_matches_term_by_term_ranges(self, f, point):
+        got = f.evaluate(point)
+        expected = _reference_evaluate(f, point)
+        assert type(got) is type(expected) and got == expected
+        if isinstance(got, RationalInterval):
+            assert type(got.lo) is Fraction and type(got.hi) is Fraction
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poly2, st.tuples(_num, _num))
+    def test_rational_point_matches_the_generic_loop(self, f, point):
+        expected = Fraction(0)
+        for exp, c in f.terms.items():
+            term = c
+            for v, e in zip(point, exp):
+                term *= Fraction(v) ** e
+            expected += term
+        got = f.evaluate(point)
+        assert type(got) is Fraction and got == expected
+
+    def test_interval_point_stays_fraction_off_its_variable(self):
+        # no term involves the interval coordinate: the value is a Fraction
+        f = _xy({(2, 0): 1, (0, 0): 3})
+        assert f.evaluate((3, RationalInterval(0, 1))) == Fraction(12)
+        point = (RationalInterval(2, 2), RationalInterval(0, 1))
+        assert type(f.evaluate(point)) is RationalInterval
 
 
 class TestCoefficients:
