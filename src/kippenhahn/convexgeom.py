@@ -230,10 +230,11 @@ class OracleBody:
         return self.curve_poly.evaluate((one, b1, b2))
 
     def restriction_poly(self, e, direction) -> UniPoly:
-        """curve_poly(1, e1 + d1*T, e2 + d2*T) as a UniPoly in T."""
-        T = UniPoly([0, 1])
-        point = (UniPoly([1]), e[0] + direction[0] * T, e[1] + direction[1] * T)
-        return self.curve_poly.evaluate(point)
+        """curve_poly(1, e1 + d1*T, e2 + d2*T) as a UniPoly in T, interpolated
+        from its exact values at T = 0..deg."""
+        f, (e1, e2), (d1, d2) = self.curve_poly, e, direction
+        ys = [f.evaluate((1, e1 + k * d1, e2 + k * d2)) for k in range(f.total_degree + 1)]
+        return UniPoly.interpolate(ys)
 
     def is_degenerate(self) -> bool:
         return False

@@ -4,8 +4,8 @@ dense univariate polynomials over the rationals (``UniPoly``, whose one
 interpolation routine takes samples at 0, 1, 2, ...), the one exact
 determinant kernel (``_bareiss``, fraction-free over Gaussian integers) that
 every pencil determinant, definiteness test and resultant sample runs on, and
-the one Sturm chain that every root count and algebraic-number certificate
-runs on.
+the one Sturm chain per polynomial (kept in a small cache) that every root
+count and algebraic-number certificate runs on.
 
 Certification arithmetic runs on integers over one common positive
 denominator (``_over_common_den``), reduced once at the end or, for a sign,
@@ -14,14 +14,15 @@ pseudo-remainders), and Moore's interval product and power (``_mul_range``,
 ``_pow_range``).  Positive scaling commutes exactly with each, so results
 equal those of the same arithmetic on ``Fraction``s.
 
-All values are immutable after construction; every operation is a pure
-function, so sharing between threads is safe.
+Values never change after construction; ``UniPoly`` and ``AlgebraicReal``
+keep private caches of derived forms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 # Arbitrary-precision rational scalar used throughout the library.  Python's
@@ -276,7 +277,7 @@ def parse_gaussian(text: str) -> GaussianRational:
             raise ParseError(f"invalid Gaussian rational {text.strip()!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coef = m.group("coef")
-        value = Fraction(coef) if coef is not None else Fraction(1)
+        value = parse_rational(coef) if coef is not None else Fraction(1)
         if m.group("imag1") or m.group("imag2"):
             im_part += sign * value
         else:
@@ -814,15 +815,21 @@ def _prs_remainder(a: list, b: list) -> list:
     return _primitive_ints([-c for c in r])
 
 
-def _sturm_chain(f: UniPoly):
+def _sturm_chain(f: UniPoly) -> tuple:
     """Sturm chain of a nonzero f, each member rescaled to coprime integers
     by a positive rational; the sign structure is what the root count lives
     on.  The members after f' come from integer pseudo-remainders
     (``_prs_remainder``).  When the last member, gcd(f, f'), is not constant,
     every member is divided by it, so that a multiple root at an interval end
-    is counted like a simple one."""
-    rows = [_primitive_ints(f.coeffs)]
-    d = _primitive_ints([i * c for i, c in enumerate(rows[0])][1:])
+    is counted like a simple one.  The last few chains are cached by that
+    first member, so a polynomial's chain is built once."""
+    return _chain_of_primitive(tuple(_primitive_ints(f.coeffs)))
+
+
+@lru_cache(maxsize=16)
+def _chain_of_primitive(head: tuple) -> tuple:
+    rows = [list(head)]
+    d = _primitive_ints([i * c for i, c in enumerate(head)][1:])
     if d:
         rows.append(d)
         while r := _prs_remainder(rows[-2], rows[-1]):
@@ -831,7 +838,7 @@ def _sturm_chain(f: UniPoly):
     g = chain[-1]
     if g.degree > 0:
         chain = [h.divmod(g)[0] for h in chain]
-    return chain
+    return tuple(chain)
 
 
 def _variations(chain, x) -> int:
@@ -893,11 +900,12 @@ class AlgebraicReal:
     """Real algebraic number: squarefree integer polynomial + isolating interval.
 
     The polynomial is a candidate annihilator (not certified minimal); the
-    constructor certifies via a Sturm count that the interval isolates exactly
-    one of its real roots.
+    constructor, the only way to make one, certifies via a Sturm count that
+    the interval isolates exactly one of its real roots.  ``refine`` keeps
+    each width's interval on the number.
     """
 
-    __slots__ = ("poly", "interval")
+    __slots__ = ("poly", "interval", "_refined")
 
     def __init__(self, poly, interval: RationalInterval):
         f = UniPoly(int(c) for c in poly)
@@ -922,6 +930,7 @@ class AlgebraicReal:
                 )
         object.__setattr__(self, "poly", coeffs)
         object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "_refined", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicReal is immutable")
@@ -948,13 +957,16 @@ class AlgebraicReal:
         return sturm_count(g.int_coeffs(), iv.lo, iv.hi) == 1
 
     def refine(self, eps) -> RationalInterval:
-        """Nested isolating interval of width <= eps, by sign bisection."""
+        """Nested isolating interval of width <= eps, by sign bisection of
+        the isolating interval (a midpoint root collapses it), kept per eps."""
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
         iv = self.interval
         if iv.width == 0:
             return iv
+        if eps in self._refined:
+            return self._refined[eps]
         f = UniPoly(self.poly)
         lo, hi = iv.lo, iv.hi
         sign_lo = 1 if f.sign_at(lo) > 0 else -1
@@ -962,19 +974,12 @@ class AlgebraicReal:
             mid = (lo + hi) / 2
             v = f.sign_at(mid)
             if v == 0:
-                return RationalInterval(mid, mid)
-            if v == sign_lo:
+                lo = hi = mid
+            elif v == sign_lo:
                 lo = mid
             else:
                 hi = mid
-        return RationalInterval(lo, hi)
-
-    def _with_interval(self, interval: RationalInterval) -> "AlgebraicReal":
-        """This number on ``interval``, which the caller has proved to be an
-        isolating interval of it; nothing is certified again."""
-        out = object.__new__(AlgebraicReal)
-        object.__setattr__(out, "poly", self.poly)
-        object.__setattr__(out, "interval", interval)
+        out = self._refined[eps] = RationalInterval(lo, hi)
         return out
 
     def to_float(self) -> float:

@@ -573,7 +573,12 @@ def parse_poly(text: str, variables) -> MultiPoly:
                     column=pos + 1,
                 )
             if m.group("num"):
-                coef *= Fraction(m.group("num"))
+                try:
+                    coef *= Fraction(m.group("num"))
+                except ZeroDivisionError:
+                    raise ParseError(
+                        f"zero denominator in {m.group('num')!r}", column=m.start("num") + 1
+                    ) from None
             else:
                 name = m.group("var")
                 if name not in index:

@@ -96,6 +96,17 @@ class TestCharpoly:
     def test_missing_file_exit_2(self, capsys):
         assert main(["charpoly", "--input", "/nonexistent/x.pencil"]) == 2
 
+    @pytest.mark.parametrize("cmd", ["charpoly", "verify"])
+    @pytest.mark.parametrize("entry", ["1/0", "1/0*i"])
+    def test_zero_denominator_exit_2(self, tmp_path, capsys, cmd, entry):
+        f = tmp_path / "zero.pencil"
+        f.write_text(f"n 2\nK\n0 1\n1 0\nL\n1 0\n0 {entry}\n")
+        assert main([cmd, "--input", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 7, column 2: bad matrix entry '{entry}'" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestDual:
     def test_conic_file(self, tmp_path, capsys):
@@ -132,6 +143,14 @@ class TestDual:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid curve: {message}\n"
+
+    def test_zero_denominator_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "zero.poly"
+        f.write_text("3/0*x0^2 - x1^2 - x2^2\n")
+        assert main(["dual", "--input", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zero denominator in '3/0'" in captured.err
 
     def test_non_principal_exit_4(self, tmp_path, capsys):
         f = tmp_path / "lines.poly"

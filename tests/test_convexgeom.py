@@ -26,7 +26,7 @@ from kippenhahn.convexgeom import (
     sample_kippenhahn_curve,
     tangency_check,
 )
-from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval
+from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval, UniPoly
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil, support_function
 from kippenhahn.mpoly import parse_poly
@@ -450,6 +450,21 @@ class TestRestrictionPoly:
         f = body.restriction_poly((2, 5), (0, 1))
         # f(1, 2, 5 + t) = 1 + 5 + t - 4 = 2 + t
         assert f.coeffs == (Fraction(2), Fraction(1))
+
+    _q = st.fractions(-3, 3, max_denominator=64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["fermat6", "parabola"]), _q, _q, _q, _q)
+    def test_matches_substitution(self, name, e1, e2, d1, d2):
+        # the interpolated restriction against substituting e + T d into the
+        # curve polynomial with UniPoly arithmetic
+        if name == "fermat6":
+            body = fermat6_body()
+        else:
+            body = OracleBody(None, parse_poly("x0^2 + x0*x2 - x1^2", V3))
+        T = UniPoly([0, 1])
+        substituted = body.curve_poly.evaluate((UniPoly([1]), e1 + d1 * T, e2 + d2 * T))
+        assert body.restriction_poly((e1, e2), (d1, d2)) == substituted
 
     def test_zero_direction(self):
         with pytest.raises(ValueError, match="zero direction"):

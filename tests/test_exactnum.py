@@ -124,6 +124,11 @@ class TestGaussianRational:
         with pytest.raises(ParseError):
             parse_gaussian("")
 
+    @pytest.mark.parametrize("text", ["1/0", "1/0*i", "2-3/0*i", "1/00+i"])
+    def test_zero_denominator_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid rational"):
+            parse_gaussian(text)
+
     def test_str_roundtrip(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -504,6 +509,39 @@ class TestAlgebraicReal:
             assert iv.width <= eps
             prev = iv
             eps /= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 30).filter(lambda n: math.isqrt(n) ** 2 != n),
+        st.integers(-8, 8),
+        st.integers(0, 4),
+        st.one_of(st.integers(0, 2), st.just(None)),
+        st.integers(0, 3),
+        st.lists(
+            st.fractions(Fraction(1, 10**9), 4, max_denominator=10**9),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(2, 1, 1, None, 1, [Fraction(1, 8), Fraction(1), Fraction(1, 1000)])
+    def test_refine_widths_match_a_fresh_number(self, n, m, k, index, j, widths):
+        # (2^k x - m)(x^2 - n) is squarefree for nonsquare n; with index None
+        # the interval is centred on the rational root m/2^k, the first
+        # bisection midpoint, so refining below its width collapses it
+        poly = (UniPoly([-m, 2**k]) * UniPoly([-n, 0, 1])).int_coeffs()
+        r, h = Fraction(m, 2**k), Fraction(1, 2**j)
+        if index is None:
+            iv = RationalInterval(r - h, r + h)
+            if sturm_count(poly, iv.lo, iv.hi) != 1:
+                return  # the interval holds an irrational root as well
+        else:
+            iv = sturm_isolate(UniPoly(poly))[index].interval
+        a = AlgebraicReal(poly, iv)
+        for eps in widths + widths[::-1]:
+            got = a.refine(eps)
+            assert got == AlgebraicReal(poly, iv).refine(eps)
+            if index is None and eps < 2 * h:
+                assert got == RationalInterval(r, r)
 
     def test_sturm_certificate_is_one(self):
         a = AlgebraicReal((-2, 0, 1), RationalInterval(1, 2))

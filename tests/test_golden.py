@@ -3,8 +3,9 @@
 Each case runs ``cli.main`` in-process and compares its stdout, stderr and
 exit code with ``tests/golden/<case>.json``: `charpoly`, `dual` and
 `singular` on the eq3 pencil and on the seed-13 pencil of
-``conftest.make_random_pencil``, and `dual` and `singular` on the fermat6
-preset.  `verify` is left out: its floats come from LAPACK.
+``conftest.make_random_pencil``, and `dual`, `singular` and `verify` on the
+fermat6 preset.  `verify` on a pencil is left out: its floats come from
+LAPACK, while the fermat6 oracle body calls no LAPACK.
 
 After a deliberate change of output, rewrite the files with
 
@@ -34,7 +35,9 @@ CASES = {
     for name in INPUTS
     for cmd in ("charpoly", "dual", "singular")
 }
-CASES.update({f"{cmd}-fermat6": [cmd, "--preset", "fermat6"] for cmd in ("dual", "singular")})
+CASES.update(
+    {f"{cmd}-fermat6": [cmd, "--preset", "fermat6"] for cmd in ("dual", "singular", "verify")}
+)
 
 
 def transcript(argv) -> dict:

@@ -400,6 +400,11 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_poly("   ", V3)
 
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError, match="zero denominator in '3/0'") as exc:
+            parse_poly("x1 - 3/0*x0^2", V3)
+        assert exc.value.column == 6
+
     def test_normalized_golden_form(self):
         f = appendix_p()
         n = f.scale(Fraction(-64, 7)).normalized()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_pencil
 from kippenhahn import realroots
-from kippenhahn.exactnum import AlgebraicReal
+from kippenhahn.exactnum import AlgebraicReal, _chain_of_primitive, sturm_count
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import pencil_det
 from kippenhahn.mpoly import MultiPoly, parse_poly
@@ -62,6 +62,24 @@ class TestSturmIsolate:
 
     def test_no_real_roots(self):
         assert sturm_isolate(UniPoly([1, 0, 1])) == []
+
+    @pytest.mark.parametrize(
+        "f, roots, chains",
+        [
+            # squarefree, coprime integers, positive lead: the roots' polynomial
+            (UniPoly([6, -5, -2, 1]), 3, 1),
+            # the same up to a negative factor: the roots' chain is a second one
+            (UniPoly([Fraction(-3, 2) * c for c in (6, -5, -2, 1)]), 3, 2),
+            # repeated roots: the chains of f and of its squarefree part
+            (UniPoly([1, 1]) ** 2 * UniPoly([-2, 0, 1]) * UniPoly([-3, 1]), 4, 2),
+        ],
+    )
+    def test_one_chain_per_polynomial(self, f, roots, chains):
+        # isolation and the certificate of every root it returns share the
+        # Sturm chain of each polynomial involved
+        _chain_of_primitive.cache_clear()
+        assert len(sturm_isolate(f)) == roots
+        assert _chain_of_primitive.cache_info().misses == chains
 
     def test_multiple_roots_collapse(self):
         f = UniPoly([1, 1]) * UniPoly([1, 1]) * UniPoly([-3, 1])
@@ -271,6 +289,23 @@ class TestSingularPoints:
         assert len(origin) == 1
         assert origin[0].isolated is True
 
+    @pytest.mark.parametrize("name", ["seed13", "fermat6"])
+    def test_irrational_coordinates_are_certified(self, name, request):
+        # every irrational census coordinate, including those that
+        # _rationalize_root rebuilt on a refined interval, isolates one root;
+        # the dual of the seed-13 pencil stands in for eq3's, whose singular
+        # points are all rational
+        if name == "seed13":
+            pencil = make_random_pencil(random.Random(13), 3)
+            pts = real_singular_points(dual_curve(pencil_det(pencil)))
+        else:
+            pts = request.getfixturevalue("fermat_census")
+        coords = [c for s in pts for c in (s.y1, s.y2) if isinstance(c, AlgebraicReal)]
+        assert any(not c.is_rational for c in coords)
+        for c in coords:
+            if not c.is_rational:
+                assert sturm_count(c.poly, c.interval.lo, c.interval.hi) == 1
+
     def test_enclosures_shrink_under_refinement(self, fermat_dual, fermat_census):
         # the definition check: q and its partials straddle zero over the
         # isolating box, and refining the box keeps shrinking the enclosure
@@ -372,8 +407,8 @@ _int_factor = st.one_of(
 
 class TestRationalizeRoot:
     """``_rationalize_root`` builds an irrational root on its refined interval
-    without certifying it again; the result must be the one the public
-    constructor certifies, field for field."""
+    through the certifying constructor; the result must be that number,
+    field for field."""
 
     @staticmethod
     def assert_nested(root, c):
