@@ -562,6 +562,8 @@ def _points_of(cloud):
 
 # width to which the algebraic generator's isolating interval is refined
 TANGENCY_EPS = Fraction(1, 10**30)
+# outward rounding grid 1/_GRID = 2^-200, far below TANGENCY_EPS (about 2^-100)
+_GRID = 1 << 2 * TANGENCY_EPS.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -640,6 +642,17 @@ def _enclose(f: UniPoly, iv: RationalInterval) -> RationalInterval:
     """Interval Horner value of f over iv (a point interval for constants)."""
     v = f(iv)
     return v if isinstance(v, RationalInterval) else RationalInterval.point(v)
+
+
+def _round_out(z: ComplexInterval) -> ComplexInterval:
+    """The box z widened outward to the grid 1/_GRID, so that its integers
+    stay short: lower ends floored and upper ends ceiled where the
+    denominator is longer than the grid's; a short end stays exact."""
+
+    def floor(q: Fraction) -> Fraction:
+        return q if q.denominator <= _GRID else Fraction(q.numerator * _GRID // q.denominator, _GRID)
+
+    return ComplexInterval(*(_ordered(floor(iv.lo), -floor(-iv.hi)) for iv in (z.re, z.im)))
 
 
 def _polar_line_param(point_coords, eps):
@@ -723,7 +736,7 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
 
     # interval coefficients in t, each enclosing its w-polynomial over w_iv
     g_iv, gp_iv, gpp_iv = (
-        [ComplexInterval(_enclose(c, w_iv)) for c in h.coefficients(1)]
+        [_round_out(ComplexInterval(_enclose(c, w_iv))) for c in h.coefficients(1)]
         for h in (g, gp, gp.diff(1))
     )
 
@@ -744,16 +757,15 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
                 RationalInterval(t0_re - rad, t0_re + rad),
                 RationalInterval(t0_im - rad, t0_im + rad),
             )
-            mid = ComplexInterval(
-                RationalInterval.point(t0_re), RationalInterval.point(t0_im)
-            )
+            mid = ComplexInterval(t0_re, t0_im)
             try:
                 newton = mid - _horner(gp_iv, mid) / _horner(gpp_iv, T)
             except ZeroDivisionError:
                 rad = rad / 16
                 continue
             if newton.strictly_inside(T):
-                box = newton
+                # the exact box proved one zero; rounding out keeps it inside
+                box = _round_out(newton)
                 break
             rad = rad / 16
         if box is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 # Arbitrary-precision rational scalar used throughout the library.  Python's
 # Fraction already enforces the canonical form: reduced, positive denominator,
@@ -121,7 +121,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p"; surrounding whitespace is allowed."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text.strip()!r}") from None
+    except ValueError as exc:
         raise ParseError(f"invalid rational {text.strip()!r}: {exc}") from None
 
 
@@ -766,12 +768,13 @@ class UniPoly:
         return tuple(int(c) for c in p.coeffs)
 
     def root_bound(self) -> Fraction:
-        """Cauchy bound: every real root lies in (-M, M)."""
+        """M, the least power of two >= the Cauchy bound 1 + max |c_i / c_d|:
+        every real root lies in (-M, M), and bisection from +-M stays dyadic."""
         if self.degree < 0:
             raise ValueError("zero polynomial")
         lead = abs(self.coeffs[-1])
         m = max((abs(c) for c in self.coeffs[:-1]), default=Fraction(0))
-        return 1 + m / lead
+        return Fraction(1 << ceil(m / lead).bit_length())
 
     def __repr__(self):
         return f"UniPoly({[str(c) for c in self.coeffs]})"
@@ -958,7 +961,8 @@ class AlgebraicReal:
 
     def refine(self, eps) -> RationalInterval:
         """Nested isolating interval of width <= eps, by sign bisection of
-        the isolating interval (a midpoint root collapses it), kept per eps."""
+        the isolating interval (a midpoint root collapses it), kept per eps;
+        it resumes from the narrowest kept interval wider than eps."""
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -969,6 +973,9 @@ class AlgebraicReal:
             return self._refined[eps]
         f = UniPoly(self.poly)
         lo, hi = iv.lo, iv.hi
+        for k in self._refined.values():  # bisection passes through each
+            if eps < k.width < hi - lo:
+                lo, hi = k.lo, k.hi
         sign_lo = 1 if f.sign_at(lo) > 0 else -1
         while hi - lo > eps:
             mid = (lo + hi) / 2

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import compress, repeat
-from math import gcd, inf
+from math import comb, gcd, inf
 
 from .exactnum import (
     ParseError,
@@ -315,6 +315,28 @@ class MultiPoly:
         if acc is None:
             return Fraction(0)
         return acc
+
+    def shifted(self, shift) -> "MultiPoly":
+        """f(x + shift) at a rational point by a Taylor shift on integers: with
+        c = p/q and top degree D in a variable, x^e becomes sum_k C(e, k)
+        p^(e-k) q^(D-e+k) x^k over q^D; one division at the end."""
+        if len(shift) != len(self.variables):
+            raise ValueError("shift length does not match variable count")
+        nums, den = _over_common_den(self.terms.values())
+        terms = dict(zip(self.terms, nums))
+        for i, c in enumerate(map(Fraction, shift)):
+            if not c:
+                continue
+            p, q, top = c.numerator, c.denominator, max((e[i] for e in terms), default=0)
+            rows = {e: [comb(e, k) * p ** (e - k) * q ** (top - e + k) for k in range(e + 1)]
+                    for e in {exp[i] for exp in terms}}
+            out = {}
+            for exp, a in terms.items():
+                for k, b in enumerate(rows[exp[i]]):
+                    key = exp[:i] + (k,) + exp[i + 1 :]
+                    out[key] = out.get(key, 0) + a * b
+            terms, den = out, den * q**top
+        return MultiPoly(self.variables, {e: Fraction(a, den) for e, a in terms.items()})
 
     # -- normalization -----------------------------------------------------
 

@@ -97,7 +97,7 @@ def sturm_isolate(f: UniPoly) -> list[AlgebraicReal]:
         rec(m, b, vm, vb)
 
     lo, hi = -bound, bound
-    # Sturm counts roots in half-open (lo, hi]; the Cauchy bound keeps both
+    # Sturm counts roots in half-open (lo, hi]; the root bound keeps both
     # endpoints away from roots.
     rec(lo, hi, _variations(chain, lo), _variations(chain, hi))
     out.sort(key=lambda r: r.interval.lo)
@@ -350,8 +350,7 @@ def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2) -> bool | None:
     """``SingularPoint.isolated`` at (c1, c2); ``hessian`` holds the second
     partials (q11, q12, q22).  The Hessian test rests on the Morse lemma."""
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
-        u, v = (MultiPoly.variable(q_aff.variables, i) for i in (0, 1))
-        verdict = _newton_polygon_verdict(q_aff.evaluate((u + c1, v + c2)))
+        verdict = _newton_polygon_verdict(q_aff.shifted((c1, c2)))
     else:
         box = (_coord_interval(c1, COORD_EPS), _coord_interval(c2, COORD_EPS))
         h11, h12, h22 = (h.evaluate(box) for h in hessian)

@@ -14,7 +14,9 @@ from kippenhahn.convexgeom import (
     PointCloud,
     ProjLine,
     ProjPoint,
+    _GRID,
     _horner,
+    _round_out,
     _support_sweep,
     check_lemma_ws,
     convex_hull,
@@ -385,7 +387,7 @@ class TestTangency:
         assert a.x1.re.intersect(b.x1.re) is not None
         assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
 
-    @pytest.mark.parametrize("s1, s2", [(1, -1), (-1, 1)])
+    @pytest.mark.parametrize("s1, s2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_fermat_negated_generator(self, s1, s2):
         # one coordinate is the other's generator negated.  The polar of
         # y = (1 : y1 : y2) touches x0^6 = x1^6 + x2^6 where the gradient
@@ -403,9 +405,44 @@ class TestTangency:
                 assert (x**5 + yk).contains_zero()
                 assert not (x**5 - yk).contains_zero()
             assert (1 - w.x1**6 - w.x2**6).contains_zero()
+            # outward rounding keeps every endpoint short (exact Newton
+            # boxes reached about 2,300 bits)
+            for z in (w.x1, w.x2, w.parameter):
+                for end in (z.re.lo, z.re.hi, z.im.lo, z.im.hi):
+                    assert end.numerator.bit_length() <= 512
+                    assert end.denominator.bit_length() <= 512
         a, b = wits
         assert a.x1.re.intersect(b.x1.re) is not None
         assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
+
+
+_long = st.builds(
+    Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**260)
+) | st.fractions(min_value=-5, max_value=5, max_denominator=10**6)
+_long_iv = st.lists(_long, min_size=1, max_size=2).map(sorted).map(
+    lambda e: RationalInterval(e[0], e[-1])
+)
+
+
+class TestOutwardRounding:
+    """``_round_out`` widens a box to the dyadic grid 1/_GRID; a short
+    endpoint stays exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(ComplexInterval, _long_iv, _long_iv))
+    @example(ComplexInterval(RationalInterval.point(Fraction(1, 3)), RationalInterval(-7, 2)))
+    @example(ComplexInterval(RationalInterval.point(Fraction(2**301 + 1, 3 * 2**250))))
+    def test_contains_the_box_and_ends_on_the_grid(self, z):
+        grid = _GRID
+        got = _round_out(z)
+        assert got.contains(z)
+        exact = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
+        for end, q in zip((got.re.lo, got.re.hi, got.im.lo, got.im.hi), exact):
+            assert type(end) is Fraction
+            if q.denominator <= grid:
+                assert end == q
+            else:
+                assert grid % end.denominator == 0 and abs(end - q) < Fraction(1, grid)
 
 
 _end = st.fractions(min_value=-5, max_value=5, max_denominator=24)

@@ -126,7 +126,7 @@ class TestGaussianRational:
 
     @pytest.mark.parametrize("text", ["1/0", "1/0*i", "2-3/0*i", "1/00+i"])
     def test_zero_denominator_is_parse_error(self, text):
-        with pytest.raises(ParseError, match="invalid rational"):
+        with pytest.raises(ParseError, match=r"^zero denominator in '\d+/0+'$"):
             parse_gaussian(text)
 
     def test_str_roundtrip(self):
@@ -293,6 +293,30 @@ class TestExactKernels:
         assert -iv1 == RationalInterval(-iv1.hi, -iv1.lo)
         for out in (iv1 + iv2, iv1 - iv2, -iv1):
             assert type(out.lo) is Fraction and type(out.hi) is Fraction
+
+
+class TestRootBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-60, max_value=60, max_denominator=12),
+            min_size=2,
+            max_size=8,
+        ).filter(lambda cs: cs[-1] != 0)
+    )
+    @example([0, 1])  # Cauchy bound 1
+    @example([-3, 1])  # Cauchy bound 4, a power of two
+    @example([Fraction(-1, 3), Fraction(1, 7)])
+    def test_least_power_of_two_over_the_cauchy_bound(self, cs):
+        f = UniPoly(cs)
+        bound = f.root_bound()
+        cauchy = 1 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
+        n = bound.numerator
+        assert bound.denominator == 1 and n & (n - 1) == 0
+        assert cauchy <= bound < 2 * cauchy
+        roots = _sympy_poly(cs).real_roots(multiple=False)
+        assert all(-bound < r < bound for r, _ in roots)
+        assert sturm_count(cs, -bound, bound) == len(roots)
 
 
 class TestSturmCount:
@@ -542,6 +566,29 @@ class TestAlgebraicReal:
             assert got == AlgebraicReal(poly, iv).refine(eps)
             if index is None and eps < 2 * h:
                 assert got == RationalInterval(r, r)
+
+    @pytest.mark.parametrize(
+        "poly, lo, hi",
+        [
+            ((-2, 0, 1), 1, 2),
+            ((-2, 0, 1), Fraction(-3, 2), Fraction(-1, 3)),
+            ((-1, 0, 0, 0, 0, 0, -11, 0, 0, 0, 0, 0, 1), 1, 2),
+        ],
+    )
+    def test_refine_resumes_from_a_coarser_width(self, monkeypatch, poly, lo, hi):
+        eps = Fraction(1, 10**20)
+        a, fresh = (AlgebraicReal(poly, RationalInterval(lo, hi)) for _ in range(2))
+        calls = []
+        sign_at = UniPoly.sign_at
+        monkeypatch.setattr(UniPoly, "sign_at", lambda f, x: calls.append(x) or sign_at(f, x))
+        a.refine(eps)
+        calls.clear()
+        resumed = a.refine(eps**2)
+        steps = len(calls)
+        calls.clear()
+        assert resumed == fresh.refine(eps**2)
+        # the second half of the halvings only, plus the sign at the start
+        assert steps <= len(calls) // 2 + 2
 
     def test_sturm_certificate_is_one(self):
         a = AlgebraicReal((-2, 0, 1), RationalInterval(1, 2))

@@ -277,6 +277,45 @@ class TestEvaluateOnIntegers:
         assert type(f.evaluate(point)) is RationalInterval
 
 
+_sparse2 = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)), _coef, max_size=8
+).map(_xy)
+_shift = (
+    st.integers(-4, 4)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=8)
+    | st.fractions(min_value=-2, max_value=2, max_denominator=10**15)
+)
+
+
+class TestTaylorShift:
+    """``shifted`` is a binomial Taylor shift on integers; it must give the
+    very polynomial the generic loop gives at ``MultiPoly`` points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse2, st.tuples(_shift, _shift))
+    @example(_xy({}), (1, Fraction(-1, 3)))  # zero polynomial
+    @example(_xy({(3, 2): Fraction(5, 6), (0, 4): -1, (1, 0): 2}), (0, 0))
+    @example(_xy({(4, 1): Fraction(-2, 3), (2, 3): 7}), (Fraction(-5, 4), -3))
+    @example(
+        _xy({(5, 0): 1, (2, 2): Fraction(1, 6), (0, 1): -4}),
+        (Fraction(-123456789, 10**15 - 11), Fraction(987654321, 2**50 + 1)),
+    )
+    def test_matches_the_generic_loop(self, f, shift):
+        u, v = (MultiPoly.variable(f.variables, i) for i in (0, 1))
+        got = f.shifted(shift)
+        assert got == f.evaluate((u + shift[0], v + shift[1]))
+        assert got.variables == f.variables
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_three_variables_and_length_check(self):
+        f = appendix_p()
+        shift = (Fraction(1, 2), -3, Fraction(-7, 5))
+        xs = [MultiPoly.variable(V3, i) + c for i, c in enumerate(shift)]
+        assert f.shifted(shift) == f.evaluate(xs)
+        with pytest.raises(ValueError, match="shift length"):
+            f.shifted((1, 2))
+
+
 class TestCoefficients:
     def test_both_variables(self):
         f = parse_poly("3*a^2*b + a*b^2 - 2*b + 5", ("a", "b"))
