@@ -270,7 +270,7 @@ def cmd_plot(args) -> int:
                 n2 = a * a + b * b
                 tangents.append(((-a / n2, -b / n2), (-b, a)))
             half = _curve_extent(body)
-            xs, ys, Z = svgfig.poly_grid(p, (-half, half, -half, half), 512)
+            xs, ys, Z = svgfig.poly_grid(p, (-half, half, -half, half), svgfig.GRID)
             segs = svgfig.marching_squares(xs, ys, Z)
             boundary = [seg[0] for seg in segs]
             svg = svgfig.render_kippenhahn(
@@ -364,8 +364,6 @@ def main(argv=None) -> int:
         return 4
     except (PrecisionError, DegenerateSystemError) as exc:
         print(f"precision exhaustion: {exc}", file=sys.stderr)
-        if isinstance(exc, PrecisionError) and exc.box is not None:
-            print(f"unresolved box: {exc.box}", file=sys.stderr)
         return 5
 
 

@@ -201,9 +201,10 @@ class OracleBody:
     """Convex set given by a support-function callback plus exact curve data.
 
     ``curve_poly`` is the homogeneous polynomial whose projective zero set
-    contains the poles (-h(x) : x1 : x2) of all supporting lines; the dual
-    set is S = {s : curve_poly(1, s1, s2) >= 0} when ``dual_membership_sign``
-    is +1.
+    contains the poles (-h(x) : x1 : x2) of all supporting lines.  The dual
+    set is taken to be S = {s : curve_poly(1, s1, s2) >= 0}, with
+    curve_poly(1, s1, s2) > 0 inside: ``interior_exact`` and
+    ``interior_interval`` read that sign.
     """
 
     def __init__(self, support, curve_poly: MultiPoly, name: str = "oracle"):
@@ -426,8 +427,9 @@ def line_curve_real_check(body, e, direction) -> LineRealResult:
     """Certify that a rational line through the interior of S meets D only in
     real points (or exhibit the failure).
 
-    The restriction polynomial is exact; realness of all its complex roots is
-    decided by a Sturm count on the squarefree part.
+    The restriction polynomial f is exact; realness of all its complex roots
+    is decided by counting f's distinct real roots on its Sturm chain, which
+    also yields the squarefree part as its head.
     """
     e = (Fraction(e[0]), Fraction(e[1]))
     direction = (Fraction(direction[0]), Fraction(direction[1]))
@@ -447,7 +449,7 @@ def line_curve_real_check(body, e, direction) -> LineRealResult:
     fs = f.squarefree_part()
     distinct = 0
     if fs.degree > 0:
-        distinct = count_real_roots(fs)
+        distinct = count_real_roots(f)
     return LineRealResult(
         all_real=(fs.degree <= 0) or (distinct == fs.degree),
         finite_roots=f.degree,

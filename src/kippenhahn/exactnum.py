@@ -744,12 +744,10 @@ class UniPoly:
         return UniPoly(a).primitive()
 
     def squarefree_part(self) -> "UniPoly":
+        """f / gcd(f, f'), primitive: the head of f's Sturm chain."""
         if self.is_zero:
             raise ValueError("zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.primitive()
-        return self.divmod(g)[0].primitive()
+        return _sturm_chain(self)[0].primitive()
 
     def __pow__(self, n):
         return power(self, n, UniPoly([1]))
@@ -911,7 +909,10 @@ class AlgebraicReal:
     __slots__ = ("poly", "interval", "_refined")
 
     def __init__(self, poly, interval: RationalInterval):
-        f = UniPoly(int(c) for c in poly)
+        poly = tuple(poly)
+        if not all(isinstance(c, (int, Fraction)) and c.denominator == 1 for c in poly):
+            raise ValueError(f"coefficients {list(poly)} are not all integers")
+        f = UniPoly(poly)
         if f.degree < 1:
             raise ValueError("polynomial must have positive degree")
         # the chain divides by a nonconstant gcd(f, f'), lowering its head

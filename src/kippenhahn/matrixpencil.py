@@ -10,13 +10,19 @@ eigensolver through numpy (``eigh``/``eigvalsh``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
-from .exactnum import GaussianRational, ParseError, UniPoly, _bareiss, parse_gaussian
+from .exactnum import (
+    GaussianRational,
+    ParseError,
+    UniPoly,
+    _bareiss,
+    _over_common_den,
+    parse_gaussian,
+)
 from .mpoly import MultiPoly
 
 __all__ = [
@@ -42,12 +48,19 @@ class EigenError(RuntimeError):
     """The input is not a finite square Hermitian matrix, or LAPACK failed."""
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class HermitianMatrix:
-    """Square matrix over Gaussian rationals equal to its conjugate transpose."""
+    """Square matrix over Gaussian rationals equal to its conjugate transpose,
+    held as Gaussian-integer rows over one denominator: entry (j, k) is
+    (re[j][k] + im[j][k] i) / den, den > 0 the least common denominator of
+    the entries, so equal matrices have equal fields."""
 
-    __slots__ = ("n", "entries")
+    n: int
+    den: int
+    re: tuple
+    im: tuple
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         rows = [tuple(GaussianRational.from_value(v) for v in row) for row in entries]
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -58,11 +71,20 @@ class HermitianMatrix:
             for k in range(j + 1, n):
                 if rows[j][k] != rows[k][j].conjugate():
                     raise ValueError(f"entries ({j},{k}) and ({k},{j}) not conjugate")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(rows))
+        den = math.lcm(*(x.denominator for r in rows for z in r for x in (z.re, z.im)))
+        re = [[int(z.re * den) for z in r] for r in rows]
+        im = [[int(z.im * den) for z in r] for r in rows]
+        return cls._from_ints(den, re, im)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
+    @classmethod
+    def _from_ints(cls, den, re, im) -> "HermitianMatrix":
+        """(re + i im) / den in lowest terms; Hermitian int rows, den > 0, unchecked."""
+        g = math.gcd(den, *(x for P in (re, im) for r in P for x in r))
+        re, im = (tuple(tuple(x // g for x in r) for r in P) for P in (re, im))
+        M = object.__new__(cls)
+        for name, v in zip(cls.__slots__, (len(re), den // g, re, im)):
+            object.__setattr__(M, name, v)
+        return M
 
     @classmethod
     def zeros(cls, n):
@@ -73,28 +95,26 @@ class HermitianMatrix:
         return cls([[int(j == k) for k in range(n)] for j in range(n)])
 
     def __getitem__(self, jk):
-        j, k = jk
-        return self.entries[j][k]
+        (j, k), d = jk, self.den
+        return GaussianRational(Fraction(self.re[j][k], d), Fraction(self.im[j][k], d))
 
-    def __eq__(self, other):
-        return isinstance(other, HermitianMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    @property
+    def entries(self) -> tuple:
+        return tuple(tuple(self[j, k] for k in range(self.n)) for j in range(self.n))
 
     def trace(self) -> Fraction:
-        return sum((self.entries[j][j].re for j in range(self.n)), Fraction(0))
+        return Fraction(sum(self.re[j][j] for j in range(self.n)), self.den)
 
     def to_complex_array(self) -> np.ndarray:
-        return np.array(
-            [[v.to_complex() for v in row] for row in self.entries], dtype=complex
-        )
+        re, im, d = self.re, self.im, self.den
+        rows = [[complex(a / d, b / d) for a, b in zip(*r)] for r in zip(re, im)]
+        return np.array(rows, dtype=complex)
 
     def is_positive_definite(self) -> bool:
         """Exact Sylvester criterion (Horn-Johnson, Thm 7.2.5): the pivots of one
-        Bareiss pass without row swaps over D * self, D > 0, are its leading
+        Bareiss pass without row swaps over den * self are its leading
         principal minors, and the first that is not positive decides."""
-        _, ((re, im),) = _gaussian_integers(self.entries)
+        re, im = ([list(r) for r in P] for P in (self.re, self.im))
         for p, q in _bareiss(re, im, swap=False):
             if q:
                 raise ValueError(f"leading principal minor is not real: {p} + {q}i")
@@ -106,6 +126,7 @@ class HermitianMatrix:
         return f"HermitianMatrix(n={self.n})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class HermitianPencil:
     """Pair (K, L) of same-size Hermitian matrices.
 
@@ -114,17 +135,13 @@ class HermitianPencil:
     {1 + x1 K + x2 L >= 0}.
     """
 
-    __slots__ = ("K", "L", "_float_cache")
+    K: HermitianMatrix
+    L: HermitianMatrix
+    _float_cache: dict = field(default_factory=dict, init=False)
 
-    def __init__(self, K: HermitianMatrix, L: HermitianMatrix):
-        if K.n != L.n:
+    def __post_init__(self):
+        if self.K.n != self.L.n:
             raise ValueError("K and L must have the same size")
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "_float_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianPencil is immutable")
 
     @property
     def n(self) -> int:
@@ -156,10 +173,9 @@ class HermitianPencil:
 
     def _floats(self):
         cache = self._float_cache
-        if "K" not in cache:
-            cache["K"] = self.K.to_complex_array()
-            cache["L"] = self.L.to_complex_array()
-        return cache["K"], cache["L"]
+        if not cache:
+            cache["KL"] = self.K.to_complex_array(), self.L.to_complex_array()
+        return cache["KL"]
 
     def combine_float(self, x1, x2) -> np.ndarray:
         """x1 K + x2 L in floats; (m, 1, 1) arrays x1, x2 give the (m, n, n) stack."""
@@ -167,20 +183,17 @@ class HermitianPencil:
         return x1 * Kf + x2 * Lf
 
     def combine_exact(self, x1, x2, shift=0) -> HermitianMatrix:
-        """shift * identity + x1 K + x2 L over exact rationals."""
-        x1, x2, shift = Fraction(x1), Fraction(x2), Fraction(shift)
-        return HermitianMatrix(
-            [
-                [
-                    GaussianRational(
-                        x1 * k.re + x2 * l.re + (shift if j == c else 0),
-                        x1 * k.im + x2 * l.im,
-                    )
-                    for c, (k, l) in enumerate(zip(rk, rl))
-                ]
-                for j, (rk, rl) in enumerate(zip(self.K.entries, self.L.entries))
-            ]
+        """shift * identity + x1 K + x2 L over exact rationals, combined on the
+        integer rows over one common denominator; a real combination of
+        Hermitian matrices is Hermitian."""
+        K, L = self.K, self.L
+        (a, b, c), den = _over_common_den(
+            [Fraction(x1) / K.den, Fraction(x2) / L.den, Fraction(shift)]
         )
+        re, im = _combine(a, K, b, L)
+        for j, r in enumerate(re):
+            r[j] += c
+        return HermitianMatrix._from_ints(den, re, im)
 
     def __repr__(self):
         return f"HermitianPencil(n={self.n})"
@@ -189,34 +202,25 @@ class HermitianPencil:
 # --- exact determinant curve -------------------------------------------------
 #
 # Fraction-free Bareiss elimination over Gaussian integers
-# (``exactnum._bareiss``); leading minors are the pivots.  M is scaled once by
-# the common denominator D of its entries: det(M) = det(D M) / D^n.
+# (``exactnum._bareiss``); leading minors are the pivots.  A pair of matrices
+# is put over its common denominator D: det(M) = det(D M) / D^n.
 # det(A + sB) is fixed by its values at s = 0..n; a Hermitian matrix at a real
 # s has a real determinant, so a non-real one raises.
 
 
-def _gaussian_integers(*matrices):
-    """The common denominator D of the entries of the matrices (rows of
-    Gaussian rationals) and D times each one as (real rows, imaginary rows)."""
-    re_im = (attrgetter("re"), attrgetter("im"))
-    parts = [[list(map(f, r)) for r in M] for M in matrices for f in re_im]
-    D = math.lcm(*(x.denominator for P in parts for r in P for x in r))
-    ints = [[[x.numerator * (D // x.denominator) for x in r] for r in P] for P in parts]
-    return D, list(zip(ints[::2], ints[1::2]))
+def _combine(a, A: HermitianMatrix, b, B: HermitianMatrix):
+    """a * den(A) * A + b * den(B) * B for ints a, b: the integer combination
+    of their rows, as fresh (real rows, imaginary rows)."""
+    pairs = ((A.re, B.re), (A.im, B.im))
+    return ([[a * x + b * y for x, y in zip(*r)] for r in zip(P, Q)] for P, Q in pairs)
 
 
-def _along(A, B, s):
-    """A + sB for matrices given as (real rows, imaginary rows) of integers."""
-    return tuple([[a + s * b for a, b in zip(*r)] for r in zip(*M)] for M in zip(A, B))
-
-
-def _det_poly(A, B, D) -> UniPoly:
-    """det(A + sB) / D^n for n x n Gaussian-integer matrices A, B given as
-    (real rows, imaginary rows), interpolated from its values at s = 0..n."""
-    n = len(A[0])
+def _det_poly(A: HermitianMatrix, B: HermitianMatrix) -> UniPoly:
+    """det(A + sB), interpolated from its values at s = 0..n."""
+    n, D = A.n, math.lcm(A.den, B.den)
     ys = []
     for s in range(n + 1):
-        *_, (re, im) = _bareiss(*_along(A, B, s), swap=True)
+        *_, (re, im) = _bareiss(*_combine(D // A.den, A, s * D // B.den, B), swap=True)
         if im:
             raise ValueError(f"sampled determinant is not real: {re}{im:+}*i / {D**n}")
         ys.append(Fraction(re, D**n))
@@ -231,11 +235,9 @@ def pencil_det(P: HermitianPencil) -> MultiPoly:
     interpolated in t, and x0^a t^b becomes x0^a x1^(n-a-b) x2^b.  A non-real
     sampled determinant raises ValueError.
     """
-    n = P.n
-    D, (K, L) = _gaussian_integers(P.K.entries, P.L.entries)
-    ident = ([[D * (j == k) for k in range(n)] for j in range(n)], [[0] * n] * n)
+    n, ident = P.n, HermitianMatrix.identity(P.n)
     # det(M + x0*1) is monic of degree n in x0: every row has n + 1 coefficients
-    in_x0 = [_det_poly(_along(K, L, t), ident, D).coeffs for t in range(n + 1)]
+    in_x0 = [_det_poly(P.combine_exact(1, t), ident).coeffs for t in range(n + 1)]
     terms = {}
     for a, column in enumerate(zip(*in_x0)):
         for b, c in enumerate(UniPoly.interpolate(column).coeffs):
@@ -251,8 +253,7 @@ def det_along_line(A: HermitianMatrix, B: HermitianMatrix):
     """Exact coefficients (ascending) of det(A + t B) as a polynomial in t."""
     if A.n != B.n:
         raise ValueError("size mismatch")
-    D, (A, B) = _gaussian_integers(A.entries, B.entries)
-    return _det_poly(A, B, D).coeffs or (Fraction(0),)
+    return _det_poly(A, B).coeffs or (Fraction(0),)
 
 
 # --- floating eigensolver ----------------------------------------------------
@@ -393,11 +394,10 @@ def dual_boundary_point(P: HermitianPencil, x):
 
 
 def parse_pencil_text(text: str) -> HermitianPencil:
-    lines = text.splitlines()
     n = None
     sections: dict[str, list] = {}
     current: str | None = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -406,6 +406,8 @@ def parse_pencil_text(text: str) -> HermitianPencil:
             rest = line[1:].replace("=", " ").strip()
             if rest.isdigit() and n is None:
                 n = int(rest)
+                if n < 1:
+                    raise ParseError(f"matrix size {n} is below 1", line=lineno)
                 continue
         if low in ("k", "l", "a"):
             current = low
@@ -434,14 +436,12 @@ def parse_pencil_text(text: str) -> HermitianPencil:
                 f"matrix {name.upper()} has {len(rows)} rows, expected {n}",
                 line=rows[-1][0] if rows else None,
             )
-        out = []
         for lineno, row in rows:
             if len(row) != n:
                 raise ParseError(
                     f"row has {len(row)} entries, expected {n}", line=lineno
                 )
-            out.append(row)
-        return out
+        return [row for _, row in rows]
 
     if "a" in sections:
         if "k" in sections or "l" in sections:

@@ -37,11 +37,7 @@ __all__ = [
 
 
 class PrecisionError(RuntimeError):
-    """A box could not be resolved at the configured working precision."""
-
-    def __init__(self, message, box=None):
-        super().__init__(message)
-        self.box = box
+    """Root isolation found no point to split an interval at."""
 
 
 class DegenerateSystemError(RuntimeError):

@@ -25,6 +25,10 @@ __all__ = [
     "render_kippenhahn",
 ]
 
+# every panel is SIZE x SIZE pixels; curves are contoured on a GRID x GRID
+# sign grid; bounding boxes of point sets are padded by MARGIN of their side
+SIZE, GRID, MARGIN = 560, 512, 0.1
+
 
 def poly_grid(p: MultiPoly, bbox, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample p(1, x, y) on an n-by-n grid over bbox = (x0, x1, y0, y1)."""
@@ -103,18 +107,17 @@ def _fmt(v: float) -> str:
 class SvgCanvas:
     """Minimal SVG builder with a fixed world-to-screen transform."""
 
-    def __init__(self, bbox, size: int = 560):
+    def __init__(self, bbox):
         self.x0, self.x1, self.y0, self.y1 = (float(b) for b in bbox)
-        self.size = size
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">',
-            f'<rect width="{size}" height="{size}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+            f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+            f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
         ]
 
     def to_screen(self, x: float, y: float):
-        sx = (x - self.x0) / (self.x1 - self.x0) * self.size
-        sy = (self.y1 - y) / (self.y1 - self.y0) * self.size
+        sx = (x - self.x0) / (self.x1 - self.x0) * SIZE
+        sy = (self.y1 - y) / (self.y1 - self.y0) * SIZE
         return sx, sy
 
     def line(self, p, q, color="black", width=0.8, opacity=1.0):
@@ -130,18 +133,18 @@ class SvgCanvas:
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{color}"/>'
         )
 
-    def marker(self, p, r=5.0, color="red"):
+    def marker(self, p):
         x, y = self.to_screen(*p)
         self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="none" '
-            f'stroke="{color}" stroke-width="1.5"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5.0" fill="none" '
+            'stroke="red" stroke-width="1.5"/>'
         )
 
-    def axes(self, color="#bbbbbb"):
+    def axes(self):
         if self.x0 < 0 < self.x1:
-            self.line((0, self.y0), (0, self.y1), color=color, width=0.6)
+            self.line((0, self.y0), (0, self.y1), color="#bbbbbb", width=0.6)
         if self.y0 < 0 < self.y1:
-            self.line((self.x0, 0), (self.x1, 0), color=color, width=0.6)
+            self.line((self.x0, 0), (self.x1, 0), color="#bbbbbb", width=0.6)
 
     def caption(self, text: str):
         self.parts.append(
@@ -176,7 +179,7 @@ def _clip_line_to_box(point, direction, bbox):
     )
 
 
-def _pad_bbox(xs, ys, margin=0.1):
+def _pad_bbox(xs, ys):
     if not xs:
         return (-1.0, 1.0, -1.0, 1.0)
     x0, x1 = min(xs), max(xs)
@@ -185,7 +188,7 @@ def _pad_bbox(xs, ys, margin=0.1):
     h = max(y1 - y0, 1e-6)
     side = max(w, h)
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    half = side / 2 * (1 + 2 * margin)
+    half = side / 2 * (1 + 2 * MARGIN)
     return (cx - half, cx + half, cy - half, cy + half)
 
 
@@ -206,13 +209,9 @@ def render_supports(body, m: int, caption: str = "") -> str:
     return cv.finish()
 
 
-def render_curve(
-    p: MultiPoly, bbox=None, grid: int = 512, markers=(), caption: str = ""
-) -> str:
+def render_curve(p: MultiPoly, bbox, markers=(), caption: str = "") -> str:
     """Implicit contour of p(1, x, y) = 0 by marching squares."""
-    if bbox is None:
-        bbox = (-2.0, 2.0, -2.0, 2.0)
-    xs, ys, Z = poly_grid(p, bbox, grid)
+    xs, ys, Z = poly_grid(p, bbox, GRID)
     segs = marching_squares(xs, ys, Z)
     cv = SvgCanvas(bbox)
     cv.axes()
@@ -226,13 +225,11 @@ def render_curve(
     return cv.finish()
 
 
-def render_dual_curve(q: MultiPoly, singular_points=(), bbox=None, grid: int = 512,
-                      caption: str = "") -> str:
-    if bbox is None:
-        pts = [s for s in singular_points]
-        half = 1.5 * max((max(abs(a), abs(b)) for a, b in pts), default=1.0) + 0.4
-        bbox = (-half, half, -half, half)
-    return render_curve(q, bbox, grid, markers=singular_points, caption=caption)
+def render_dual_curve(q: MultiPoly, singular_points=(), caption: str = "") -> str:
+    """``render_curve`` on a square that holds the singular points."""
+    pts = singular_points
+    half = 1.5 * max((max(abs(a), abs(b)) for a, b in pts), default=1.0) + 0.4
+    return render_curve(q, (-half, half, -half, half), markers=pts, caption=caption)
 
 
 def render_kippenhahn(

@@ -96,6 +96,18 @@ class TestCharpoly:
     def test_missing_file_exit_2(self, capsys):
         assert main(["charpoly", "--input", "/nonexistent/x.pencil"]) == 2
 
+    @pytest.mark.parametrize(
+        "cmd", [["charpoly"], ["verify"], ["plot", "--panel", "supports", "--out-dir", "figures"]]
+    )
+    def test_size_below_1_exit_2(self, tmp_path, monkeypatch, capsys, cmd):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.pencil").write_text("# no rows\nn 0\nK\nL\n")
+        assert main([*cmd, "--input", "empty.pencil"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 2, column 0: matrix size 0 is below 1\n"
+        assert not (tmp_path / "figures").exists()
+
     @pytest.mark.parametrize("cmd", ["charpoly", "verify"])
     @pytest.mark.parametrize("entry", ["1/0", "1/0*i"])
     def test_zero_denominator_exit_2(self, tmp_path, capsys, cmd, entry):

@@ -602,6 +602,12 @@ class TestAlgebraicReal:
         with pytest.raises(ValueError):
             AlgebraicReal((1, 2, 1), RationalInterval(-2, 0))  # (t+1)^2
 
+    @pytest.mark.parametrize("poly", [[Fraction(-3, 2), 0, 1], [-2.7, 0, 1]])
+    def test_rejects_noninteger_coefficients(self, poly):
+        # truncated to integers, these would certify 1 and sqrt(2) instead
+        with pytest.raises(ValueError, match="not all integers"):
+            AlgebraicReal(poly, RationalInterval(1, 2))
+
     def test_is_root_of_rational_and_trivial_generator(self):
         zero = AlgebraicReal((0, 1), RationalInterval.point(0))
         assert zero.is_root_of(UniPoly([]))

@@ -3,9 +3,12 @@
 Each case runs ``cli.main`` in-process and compares its stdout, stderr and
 exit code with ``tests/golden/<case>.json``: `charpoly`, `dual` and
 `singular` on the eq3 pencil and on the seed-13 pencil of
-``conftest.make_random_pencil``, and `dual`, `singular` and `verify` on the
-fermat6 preset.  `verify` on a pencil is left out: its floats come from
-LAPACK, while the fermat6 oracle body calls no LAPACK.
+``conftest.make_random_pencil``; `charpoly` alone on its seed-7 pencil of
+size 7 (`dual` or `singular` there would be slow) and on the hand-written
+``amatrix.pencil``, whose A section ``HermitianPencil.from_matrix`` splits;
+and `dual`, `singular` and `verify` on the fermat6 preset.  `verify` on a
+pencil is left out: its floats come from LAPACK, while the fermat6 oracle
+body calls no LAPACK.
 
 After a deliberate change of output, rewrite the files with
 
@@ -30,11 +33,19 @@ INPUTS = {
     "eq3": make_eq3_pencil,
     "seed13": lambda: make_random_pencil(random.Random(13), 3),
 }
+CHARPOLY_INPUTS = {"seed7": lambda: make_random_pencil(random.Random(7), 7)}
+WRITTEN = {**INPUTS, **CHARPOLY_INPUTS}
 CASES = {
     f"{cmd}-{name}": [cmd, "--input", str(GOLDEN / f"{name}.pencil")]
     for name in INPUTS
     for cmd in ("charpoly", "dual", "singular")
 }
+CASES.update(
+    {
+        f"charpoly-{name}": ["charpoly", "--input", str(GOLDEN / f"{name}.pencil")]
+        for name in (*CHARPOLY_INPUTS, "amatrix")
+    }
+)
 CASES.update(
     {f"{cmd}-fermat6": [cmd, "--preset", "fermat6"] for cmd in ("dual", "singular", "verify")}
 )
@@ -52,9 +63,9 @@ def no_config_file(tmp_path, monkeypatch):
     monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "absent.cfg"))
 
 
-@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("name", sorted(WRITTEN))
 def test_input_file_is_the_pencil(name):
-    assert (GOLDEN / f"{name}.pencil").read_text() == format_pencil_text(INPUTS[name]())
+    assert (GOLDEN / f"{name}.pencil").read_text() == format_pencil_text(WRITTEN[name]())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -65,7 +76,7 @@ def test_transcript_unchanged(case):
 
 if __name__ == "__main__":
     os.environ[CONFIG_ENV] = str(GOLDEN / "absent.cfg")
-    for name, make in INPUTS.items():
+    for name, make in WRITTEN.items():
         (GOLDEN / f"{name}.pencil").write_text(format_pencil_text(make()))
     for case, argv in CASES.items():
         text = json.dumps(transcript(argv), indent=1) + "\n"

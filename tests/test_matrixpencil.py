@@ -425,6 +425,32 @@ def _line_cases(draw):
     return HermitianMatrix(herm()), HermitianMatrix(herm())
 
 
+def _from_values(n, value) -> HermitianMatrix:
+    return HermitianMatrix([[value(j, k) for k in range(n)] for j in range(n)])
+
+
+class TestCanonicalForm:
+    @settings(max_examples=40, deadline=None)
+    @given(_line_cases(), _rational, _rational, _rational)
+    def test_equal_values_equal_matrices(self, KL, x1, x2, s):
+        # built from entries, by combine_exact or by translated, a matrix of
+        # the same value is ==, hashes alike and gives the same exact answers
+        P, n = HermitianPencil(*KL), KL[0].n
+        K, L = P.K, P.L
+        T = P.translated(x1, x2)
+        pairs = [
+            (P.combine_exact(x1, x2, s), lambda j, k: x1 * K[j, k] + x2 * L[j, k] + s * (j == k)),
+            (HermitianPencil(K, K).combine_exact(x1, -x1, s), lambda j, k: s * (j == k)),
+            (T.K, lambda j, k: K[j, k] - x1 * (j == k)),
+            (T.L, lambda j, k: L[j, k] - x2 * (j == k)),
+        ]
+        for M, value in pairs:
+            E = _from_values(n, value)
+            assert M == E and hash(M) == hash(E)
+            assert M.is_positive_definite() == E.is_positive_definite()
+            assert det_along_line(M, L) == det_along_line(E, L)
+
+
 class TestPencilFiles:
     def test_roundtrip(self):
         P = eq3_pencil()
