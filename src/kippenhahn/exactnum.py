@@ -112,9 +112,10 @@ class ParseError(ValueError):
 
     def __str__(self):
         base = super().__str__()
-        if self.line is not None:
-            return f"line {self.line}, column {self.column or 0}: {base}"
-        return base
+        if self.line is None:
+            return base
+        column = "" if self.column is None else f", column {self.column}"
+        return f"line {self.line}{column}: {base}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -8,15 +8,18 @@ reduced basis under it as a plain list of MultiPoly.  Internally a term is
 three Python ints: the exponent vector and its key under the order, each
 packed into fixed-width bit fields of one int, and an integer coefficient
 (content stripped per step); the public surface speaks MultiPoly over
-Fraction.  Reduction and pair selection are deterministic, so a Groebner
-basis is a pure function of the input ideal.
+Fraction.  Pairs are selected by the normal strategy in a grading derived
+from the generators (the tangency ideal weighs x by 1 and y by d - 1), and
+``eliminate`` interreduces only the elements it returns.  Reduction and pair
+selection are deterministic, so a Groebner basis is a pure function of the
+input ideal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import itemgetter
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .exactnum import _over_common_den
 from .mpoly import MultiPoly, MonomialOrder, elimination_order, grevlex_order
@@ -85,10 +88,12 @@ DEG_MOD = (1 << FIELD) - 1
 
 
 class _Packing:
-    """Packed exponent vectors of one ring and packed keys under one order."""
+    """Packed exponent vectors of one ring and packed keys under one order;
+    ``weights`` grade the variables (all 1: the total degree)."""
 
-    def __init__(self, order: MonomialOrder):
+    def __init__(self, order: MonomialOrder, weights=None):
         self.order = order
+        self.weights = weights or (1,) * order.nvars
         self.shifts = [FIELD * i for i in reversed(range(order.nvars))]
         self.guard = sum(LIMIT << s for s in self.shifts)
 
@@ -105,6 +110,42 @@ class _Packing:
     def key(self, exp):
         """Packed key of a packed exponent vector."""
         return self.pack(self.order.key(self.unpack(exp)))
+
+
+def _grading(generators, nvars):
+    """Positive integer variable weights under which every generator is
+    homogeneous, if they are unique up to scale; else None (total degree).
+
+    The weights solve w . (a - b) = 0 for any two exponents a, b of one
+    generator: at rank nvars - 1 of those differences, the reduced row
+    echelon form leaves one free column, which fixes w up to scale.
+    """
+    diffs = []
+    for g in generators:
+        exps = list(g.terms)
+        diffs += ([a - b for a, b in zip(e, exps[0])] for e in exps[1:])
+    # a difference of one sign is orthogonal to no positive weights
+    if any(min(v) >= 0 or max(v) <= 0 for v in diffs):
+        return None
+    rows = {}  # pivot column -> integer row, positive there and 0 at the other pivots
+    for v in diffs:
+        for c, r in rows.items():
+            if v[c]:
+                v = [r[c] * a - v[c] * b for a, b in zip(v, r)]
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is not None:
+            g = gcd(*v) if v[pivot] > 0 else -gcd(*v)
+            v = [a // g for a in v]
+            rows = {c: [v[pivot] * a - r[pivot] * b for a, b in zip(r, v)]
+                    for c, r in rows.items()}
+            rows[pivot] = v
+    if len(rows) != nvars - 1:
+        return None
+    (free,) = set(range(nvars)) - rows.keys()
+    den = lcm(*(r[c] for c, r in rows.items()))
+    w = [-rows[c][free] * den // rows[c][c] if c in rows else den for c in range(nvars)]
+    g = gcd(*w)
+    return tuple(a // g for a in w) if min(w) > 0 else None
 
 
 def _degree_cap(degree):
@@ -245,25 +286,16 @@ def _normal_form_internal(f, heads, guard):
     return _strip_content(done)
 
 
-def _interreduce(polys, guard):
-    """Fully reduce each element against the others; drop zeros."""
-    out = list(polys)
-    heads = [_head(g) for g in out]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            others = [h for j, h in enumerate(heads) if j != i and h]
-            if not others:
-                continue
-            r = _normal_form_internal(out[i], others, guard)
-            if r != out[i]:
-                out[i] = r
-                heads[i] = _head(r) if r else None
-                changed = True
-        heads = [h for h in heads if h]
-        out = [g for g in out if g]
-    return out
+def _interreduce(heads, variables, pk: _Packing) -> list[MultiPoly]:
+    """The reduced basis spanned by the heads of Groebner basis elements,
+    monic, by decreasing leading term.  One ascending pass drops each element
+    whose leading monomial a smaller one divides and reduces the rest against
+    those done: a larger leading monomial divides no term of a smaller one."""
+    done = []
+    for h in sorted(heads, key=itemgetter(0)):
+        if not any(_divides(d[1], h[1], pk.guard) for d in done):
+            done.append(_head(_normal_form_internal(h[4], done, pk.guard)))
+    return [_to_multipoly(d[4], variables, pk) for d in reversed(done)]
 
 
 def _gm_update(heads, pairs, pk: _Packing):
@@ -271,7 +303,8 @@ def _gm_update(heads, pairs, pk: _Packing):
     the basis, given by its ``heads``, joins it.
 
     ``pairs`` maps each surviving index pair (i, j), i < j, to its packed lcm
-    and its selection key (lcm degree, packed order key of the lcm, i, j).
+    and its selection key (graded degree of the lcm, packed order key of the
+    lcm, i, j).
     Applies Buchberger's coprimality and chain criteria and returns the new
     table.
     """
@@ -303,26 +336,15 @@ def _gm_update(heads, pairs, pk: _Packing):
         if any(lm[i] + lt == L for i in by_lcm[L]):
             continue  # coprime leading monomials: S-pair reduces to zero
         i = min(by_lcm[L])
-        kept[(i, t)] = (L, (L % DEG_MOD, pk.key(L), i, t))
+        degree = sum(map(mul, pk.weights, pk.unpack(L)))
+        kept[(i, t)] = (L, (degree, pk.key(L), i, t))
     return kept
 
 
-def buchberger(
-    ideal: Ideal,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> list[MultiPoly]:
-    """Reduced, monic Groebner basis under the ideal's monomial order, sorted
-    by decreasing leading term.
-
-    One table maps each surviving critical pair to its lcm and selection key;
-    the Gebauer-Moeller criteria prune it as the basis grows.  Pair selection
-    follows the normal strategy: the entry with the least (lcm degree, lcm
-    under the order, pair index) is reduced next.  Raises ResourceLimitError
-    when the basis exceeds ``max_terms`` stored terms, any coefficient
-    exceeds ``max_bits`` bits, or a monomial reaches total degree LIMIT.
-    """
-    pk = _Packing(ideal.order)
+def _groebner_basis(ideal: Ideal, max_terms=DEFAULT_MAX_TERMS, max_bits=DEFAULT_MAX_BITS):
+    """The pair loop: the packing of the run and the heads of a Groebner
+    basis of the ideal, neither minimal nor reduced."""
+    pk = _Packing(ideal.order, _grading(ideal.generators, len(ideal.variables)))
     guard = pk.guard
     gens = [_to_internal(g, pk) for g in ideal.generators if not g.is_zero]
     if not gens:
@@ -359,18 +381,30 @@ def buchberger(
                 f"coefficient reached {maxbits} bits (cap {max_bits})"
             )
         pairs = _gm_update(heads, pairs, pk)
+    return pk, heads
 
-    # minimal basis: drop elements whose leading monomial is divisible by
-    # another's
-    minimal = []
-    for h in sorted(heads, key=itemgetter(0)):
-        if any(_divides(m[1], h[1], guard) for m in minimal):
-            continue
-        minimal = [m for m in minimal if not _divides(h[1], m[1], guard)]
-        minimal.append(h)
-    reduced = _interreduce([h[4] for h in minimal], guard)
-    reduced.sort(key=lambda p: p[0][0], reverse=True)
-    return [_to_multipoly(p, ideal.variables, pk) for p in reduced]
+
+def buchberger(
+    ideal: Ideal,
+    max_terms: int = DEFAULT_MAX_TERMS,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> list[MultiPoly]:
+    """Reduced, monic Groebner basis under the ideal's monomial order, sorted
+    by decreasing leading term.
+
+    One table maps each surviving critical pair to its lcm and selection key;
+    the Gebauer-Moeller criteria prune it as the basis grows.  Pair selection
+    follows the normal strategy in the ideal's own grading ("sugar": Giovini,
+    Mora, Niesi, Robbiano and Traverso, ISSAC 1991): the entry with the least
+    (lcm degree, lcm under the order, pair index) is reduced next, the degree
+    weighing the variables so that every generator is homogeneous when such
+    positive weights are unique up to scale, and the total degree otherwise.
+    Raises ResourceLimitError when the basis exceeds ``max_terms`` stored
+    terms, any coefficient exceeds ``max_bits`` bits, or a monomial reaches
+    total degree LIMIT.
+    """
+    pk, heads = _groebner_basis(ideal, max_terms, max_bits)
+    return _interreduce(heads, ideal.variables, pk)
 
 
 def normal_form(f: MultiPoly, basis, order: MonomialOrder | None = None) -> MultiPoly:
@@ -390,13 +424,14 @@ def eliminate(ideal: Ideal, **caps) -> list[MultiPoly]:
 
     Those are the first ``ideal.order.split`` variables, the leading block of
     an ``elimination_order``; grevlex and lex eliminate none, so the whole
-    basis is returned.
+    basis is returned.  Only the elements whose leading monomial is free of
+    the block are interreduced: under a block order they have no eliminated
+    variable in any term (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 3).
     """
-    split = ideal.order.split
-    return [
-        g for g in buchberger(ideal, **caps)
-        if not any(any(e[:split]) for e in g.terms)
-    ]
+    pk, heads = _groebner_basis(ideal, **caps)
+    free = 1 << FIELD * (ideal.order.nvars - ideal.order.split)  # the block's lowest bit
+    return _interreduce([h for h in heads if h[1] < free], ideal.variables, pk)
 
 
 def dual_curve(

@@ -63,6 +63,8 @@ class HermitianMatrix:
     def __new__(cls, entries):
         rows = [tuple(GaussianRational.from_value(v) for v in row) for row in entries]
         n = len(rows)
+        if n < 1:
+            raise ValueError("matrix size 0 is below 1")
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         for j in range(n):

@@ -105,7 +105,7 @@ class TestCharpoly:
         assert main([*cmd, "--input", "empty.pencil"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "parse error: line 2, column 0: matrix size 0 is below 1\n"
+        assert captured.err == "parse error: line 2: matrix size 0 is below 1\n"
         assert not (tmp_path / "figures").exists()
 
     @pytest.mark.parametrize("cmd", ["charpoly", "verify"])
@@ -302,6 +302,15 @@ class TestShowConfig:
         assert captured.out == ""
         for w in words:
             assert w in captured.err
+
+    def test_config_key_error_names_no_column(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "kippenhahn.cfg"
+        cfg.write_text("resolution = 100\nresolutoin = 50\n")
+        monkeypatch.setenv("KIPPENHAHN_CONFIG", str(cfg))
+        assert main(["--show-config"]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 2: unknown config key 'resolutoin' in {cfg}\n"
+        )
 
     def test_removed_tolerance_flag(self, capsys):
         # the geometric tolerance is the constant GEOM_TOL; no flag sets it

@@ -19,6 +19,7 @@ from kippenhahn.groebner import (
     eliminate,
     normal_form,
 )
+from kippenhahn.matrixpencil import pencil_det
 from kippenhahn.mpoly import (
     MultiPoly,
     elimination_order,
@@ -147,6 +148,93 @@ class TestEliminate:
         order = elimination_order(3, 1)
         basis = eliminate(Ideal([MultiPoly.constant(V3, 1)], order))
         assert len(basis) == 1 and basis[0] == MultiPoly.constant(V3, 1)
+
+
+def tangency_generators(p):
+    """The generators of ``dual_curve``'s tangency ideal of p in x0..x2, y0..y2."""
+    ring = V3 + VY
+    lift = MultiPoly(ring, {e + (0, 0, 0): c for e, c in p.terms.items()})
+    return [lift] + [lift.diff(i) - MultiPoly.variable(ring, 3 + i) for i in range(3)]
+
+
+class TestGrading:
+    @pytest.mark.parametrize("curve", ["x0^6 - x1^6 - x2^6", APPENDIX_P])
+    def test_tangency_ideal(self, curve):
+        p = parse_poly(curve, V3)
+        d = p.homogeneous_degree()
+        assert groebner._grading(tangency_generators(p), 6) == (1, 1, 1, d - 1, d - 1, d - 1)
+
+    def test_eq3_tangency_ideal(self, eq3_pencil):
+        p = pencil_det(eq3_pencil)
+        assert groebner._grading(tangency_generators(p), 6) == (1, 1, 1, 2, 2, 2)
+
+    def test_gcd_ideal_has_no_positive_grading(self):
+        # t*f and (1 - t)*g force weight 0 on t: grade by total degree
+        ring = ("t",) + V3
+        t = MultiPoly.variable(ring, 0)
+        f, g = (parse_poly(c, ring) for c in ("x0^2 - x1*x2", "x0*x1 + x2^2"))
+        assert groebner._grading([t * f, (1 - t) * g], 4) is None
+
+    def test_homogeneous_ideal(self):
+        gens = [parse_poly(c, V3) for c in ("x0^2 - x1*x2", "x0*x1 + 3*x2^2 - x1^2")]
+        assert groebner._grading(gens, 3) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [["x0*x1 - x2^2"], ["x0 - 1", "x1^2 - x2"], ["x0^2 - x1", "x1^2 - x0"]],
+        ids=["not-unique", "constant-term", "no-positive"],
+    )
+    def test_falls_back_to_total_degree(self, gens):
+        assert groebner._grading([parse_poly(c, V3) for c in gens], 3) is None
+
+    def test_dual_curve_work(self, monkeypatch):
+        # a work guard: graded selection and the elimination block's own
+        # interreduction take 617 normal forms on the Fermat sextic's dual,
+        # where total-degree selection and a full interreduction took 1,662
+        calls = []
+        full = groebner._normal_form_internal
+        monkeypatch.setattr(
+            groebner, "_normal_form_internal", lambda *a: calls.append(1) or full(*a)
+        )
+        dual_curve(parse_poly("x0^6 - x1^6 - x2^6", V3))
+        assert len(calls) == 617
+
+
+@st.composite
+def block_ideal(draw):
+    """2-3 generators of 2-4 terms, degree <= 3, in 2-4 variables, under an
+    elimination order of a random leading block."""
+    n = draw(st.integers(2, 4))
+    exps = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(n))
+    )
+    coefs = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(Fraction)
+    variables = tuple(f"x{i}" for i in range(n))
+    gens = draw(
+        st.lists(
+            st.dictionaries(exps, coefs, min_size=2, max_size=4).map(
+                lambda t: MultiPoly(variables, t)
+            ),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    return Ideal(gens, elimination_order(n, draw(st.integers(1, n - 1))))
+
+
+class TestEliminateIsTheFreePart:
+    @settings(max_examples=60, deadline=None)
+    @given(block_ideal())
+    def test_matches_buchberger(self, ideal):
+        split = ideal.order.split
+        try:
+            full = buchberger(ideal, max_terms=2000)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                eliminate(ideal, max_terms=2000)
+            return
+        free = [g for g in full if not any(any(e[:split]) for e in g.terms)]
+        assert [g.terms for g in eliminate(ideal, max_terms=2000)] == [g.terms for g in free]
 
 
 def reference_key(order, exp):
@@ -281,6 +369,33 @@ def random_ideal(seed, n):
     return gens
 
 
+def random_weighted_ideal(seed):
+    """2-3 generators in x0, x1, x2, each of 2-4 terms of one weighted degree
+    under unequal weights, with coefficients in [-3, 3]; drawn until the
+    weights are the ideal's own grading, so that pairs are selected by them."""
+    rng = random.Random(seed)
+    while True:
+        weights = rng.choice([(1, 2, 3), (2, 1, 1), (1, 1, 2), (3, 1, 2), (2, 3, 1)])
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            degree = rng.randint(3, 6)
+            exps = [
+                (a, b, c)
+                for a in range(degree + 1)
+                for b in range(degree + 1)
+                for c in range(degree + 1)
+                if a * weights[0] + b * weights[1] + c * weights[2] == degree
+            ]
+            if len(exps) < 2:
+                continue
+            picked = rng.sample(exps, min(len(exps), rng.randint(2, 4)))
+            gens.append(
+                MultiPoly(V3, {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for e in picked})
+            )
+        if len(gens) >= 2 and groebner._grading(gens, 3) == weights:
+            return gens
+
+
 def sympy_groebner(gens, order):
     """sympy's reduced Groebner basis of the ideal, as MultiPoly."""
     variables = gens[0].variables
@@ -304,6 +419,14 @@ class TestMatchesSympy:
     @pytest.mark.parametrize("name, order", [("grevlex", grevlex_order(3)), ("lex", lex_order(3))])
     def test_reduced_basis(self, seed, name, order):
         gens = random_small_ideal(seed)
+        ours = buchberger(Ideal(gens, order))
+        assert normalized_set(ours) == normalized_set(sympy_groebner(gens, name))
+
+    # quasi-homogeneous ideals: the graded strategy weighs the variables
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("name, order", [("grevlex", grevlex_order(3)), ("lex", lex_order(3))])
+    def test_reduced_basis_weighted(self, seed, name, order):
+        gens = random_weighted_ideal(seed)
         ours = buchberger(Ideal(gens, order))
         assert normalized_set(ours) == normalized_set(sympy_groebner(gens, name))
 

@@ -117,6 +117,16 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             HermitianMatrix([[GaussianRational(0, 1), 0], [0, 0]])
 
+    def test_rejects_size_zero(self):
+        for build in (
+            lambda: HermitianMatrix([]),
+            lambda: HermitianMatrix.zeros(0),
+            lambda: HermitianPencil(HermitianMatrix([]), HermitianMatrix([])),
+            lambda: HermitianPencil.from_matrix([]),
+        ):
+            with pytest.raises(ValueError, match="matrix size 0 is below 1"):
+                build()
+
     def test_accepts_conjugate_pairs(self):
         z = GaussianRational(1, 2)
         HermitianMatrix([[0, z], [z.conjugate(), 3]])
