@@ -6,7 +6,6 @@ statement and its failure mode.
 
 from .exactnum import (
     AlgebraicReal,
-    BigRational,
     ComplexInterval,
     GaussianRational,
     ParseError,
@@ -37,12 +36,10 @@ from .matrixpencil import (
     EigenResult,
     HermitianMatrix,
     HermitianPencil,
-    dual_boundary_point,
     eigen_hermitian,
     parse_pencil_text,
     pencil_det,
     sample_numrange_boundary,
-    spectrahedron_contains,
     support_function,
 )
 from .realroots import (

@@ -27,7 +27,6 @@ from .exactnum import (
 )
 from .mpoly import MultiPoly, parse_poly
 from .matrixpencil import (
-    GEOM_TOL,
     HermitianPencil,
     _direction_stack,
     _direction_sweep,
@@ -69,6 +68,8 @@ __all__ = [
     "run_verification",
     "VerifyConfig",
 ]
+
+GEOM_TOL = 1e-9
 
 # the hull_hausdorff tolerance is HULL_CONSTANT / resolution^2
 HULL_CONSTANT = 24.0  # calibrated on the n = 2 ellipse case
@@ -140,7 +141,8 @@ class ProjLine:
 
 def _coord_is_zero(c) -> bool:
     if isinstance(c, AlgebraicReal):
-        return False  # an isolated root interval never certifies exactly zero
+        # the closed interval holds exactly one root of poly
+        return not c.poly[0] and c.interval.contains_zero()
     return not c
 
 
@@ -575,15 +577,6 @@ class TangencyWitness:
     x1: ComplexInterval
     x2: ComplexInterval
     parameter: ComplexInterval
-
-    def contains_point(self, re1, im1, re2, im2) -> bool:
-        """Does the witness box contain the point (re1+i*im1, re2+i*im2)?
-
-        Arguments are RationalIntervals enclosing the target coordinates.
-        """
-        target1 = ComplexInterval(re1, im1)
-        target2 = ComplexInterval(re2, im2)
-        return self.x1.contains(target1) and self.x2.contains(target2)
 
 
 def _generator_sign(c: AlgebraicReal, base: AlgebraicReal) -> int:

@@ -1,5 +1,5 @@
-"""Exact scalars: arbitrary-precision rationals, Gaussian rationals,
-rational intervals and real algebraic numbers, together with the package's
+"""Exact scalars: rational and Gaussian-rational parsing, rational and
+complex intervals and real algebraic numbers, together with the package's
 dense univariate polynomials over the rationals (``UniPoly``, whose one
 interpolation routine takes samples at 0, 1, 2, ...), the one exact
 determinant kernel (``_bareiss``, fraction-free over Gaussian integers) that
@@ -14,6 +14,12 @@ pseudo-remainders), and Moore's interval product and power (``_mul_range``,
 ``_pow_range``).  Positive scaling commutes exactly with each, so results
 equal those of the same arithmetic on ``Fraction``s.
 
+A ``GaussianRational`` is parsed, printed and read by its parts ``re`` and
+``im``; it has no arithmetic, since exact matrices compute on integer rows.
+``UniPoly`` keeps negation but no other ring operator: it is evaluated,
+divided, reduced to its primitive and squarefree parts, and interpolated.  Interval arithmetic
+(``RationalInterval``, ``ComplexInterval``) keeps +, -, * and /.
+
 Values never change after construction; ``UniPoly`` and ``AlgebraicReal``
 keep private caches of derived forms.
 """
@@ -25,16 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, lcm
 
-# Arbitrary-precision rational scalar used throughout the library.  Python's
-# Fraction already enforces the canonical form: reduced, positive denominator,
-# canonical zero 0/1.
-BigRational = Fraction
-
 __all__ = [
-    "BigRational",
     "ParseError",
     "parse_rational",
-    "format_rational",
     "GaussianRational",
     "parse_gaussian",
     "RationalInterval",
@@ -44,21 +43,6 @@ __all__ = [
     "sturm_count",
     "simplest_in_interval",
 ]
-
-
-def power(base, n, one):
-    """base**n by square-and-multiply, starting from ``one``; NotImplemented
-    unless n is an int >= 0."""
-    if not isinstance(n, int) or n < 0:
-        return NotImplemented
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 def _over_common_den(qs):
@@ -128,11 +112,6 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"invalid rational {text.strip()!r}: {exc}") from None
 
 
-def format_rational(q) -> str:
-    """Canonical text form, "p/q" or "p"."""
-    return str(Fraction(q))
-
-
 class GaussianRational:
     """Complex scalar with exact rational real and imaginary parts."""
 
@@ -154,79 +133,16 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """Squared modulus re^2 + im^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __add__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n2 = other.norm2()
-        if not n2:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        conj = other.conjugate()
-        num = self * conj
-        return GaussianRational(num.re / n2, num.im / n2)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __eq__(self, other):
-        other = _coerce_gaussian(other)
-        if other is NotImplemented:
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __bool__(self):
-        return not self.is_zero
-
-    def __pow__(self, n):
-        return power(self, n, GaussianRational(1))
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * float(self.im)
-
     def __str__(self):
-        if self.is_zero:
+        if not self.re and not self.im:
             return "0"
         parts = []
         if self.re:
@@ -246,14 +162,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _coerce_gaussian(v):
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
-    return NotImplemented
 
 
 _GAUSS_TERM = re.compile(
@@ -319,13 +227,6 @@ class RationalInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, q) -> bool:
-        q = Fraction(q)
-        return self.lo <= q <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
@@ -343,8 +244,6 @@ class RationalInterval:
             return NotImplemented
         return _ordered(self.lo + other.lo, self.hi + other.hi)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _ordered(-self.hi, -self.lo)
 
@@ -353,12 +252,6 @@ class RationalInterval:
         if other is NotImplemented:
             return NotImplemented
         return _ordered(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other):
-        other = _coerce_interval(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = _coerce_interval(other)
@@ -444,10 +337,6 @@ class ComplexInterval:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexInterval is immutable")
 
-    @classmethod
-    def from_gaussian(cls, z: GaussianRational) -> "ComplexInterval":
-        return cls(RationalInterval.point(z.re), RationalInterval.point(z.im))
-
     def __add__(self, other):
         other = _coerce_complex_interval(other)
         if other is NotImplemented:
@@ -465,12 +354,6 @@ class ComplexInterval:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce_complex_interval(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = _coerce_complex_interval(other)
         if other is NotImplemented:
@@ -481,9 +364,6 @@ class ComplexInterval:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(self, n, ComplexInterval(RationalInterval(1, 1)))
 
     def __truediv__(self, other):
         other = _coerce_complex_interval(other)
@@ -497,11 +377,6 @@ class ComplexInterval:
 
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
-
-    def contains(self, other: "ComplexInterval") -> bool:
-        return self.re.contains_interval(other.re) and self.im.contains_interval(
-            other.im
-        )
 
     def strictly_inside(self, other: "ComplexInterval") -> bool:
         return (
@@ -524,8 +399,6 @@ class ComplexInterval:
 def _coerce_complex_interval(v):
     if isinstance(v, ComplexInterval):
         return v
-    if isinstance(v, GaussianRational):
-        return ComplexInterval.from_gaussian(v)
     if isinstance(v, (int, Fraction)):
         return ComplexInterval(RationalInterval.point(v))
     if isinstance(v, RationalInterval):
@@ -651,45 +524,8 @@ class UniPoly:
         acc = self._horner(x)[0]
         return (acc > 0) - (acc < 0)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        other = _coerce_unipoly(other)
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UniPoly(
-            [
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = _coerce_unipoly(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_unipoly(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -750,9 +586,6 @@ class UniPoly:
             raise ValueError("zero polynomial")
         return _sturm_chain(self)[0].primitive()
 
-    def __pow__(self, n):
-        return power(self, n, UniPoly([1]))
-
     def compose_power(self, stride: int) -> "UniPoly":
         """Substitute t**stride for the variable: f(v) -> f(t**stride)."""
         if stride < 1:
@@ -777,16 +610,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({[str(c) for c in self.coeffs]})"
-
-
-def _coerce_unipoly(v):
-    if isinstance(v, UniPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return UniPoly([v])
-    if isinstance(v, (list, tuple)):
-        return UniPoly(v)
-    return NotImplemented
 
 
 def _primitive_ints(coeffs) -> list:
@@ -903,7 +726,8 @@ class AlgebraicReal:
 
     The polynomial is a candidate annihilator (not certified minimal); the
     constructor, the only way to make one, certifies via a Sturm count that
-    the interval isolates exactly one of its real roots.  ``refine`` keeps
+    the closed interval holds exactly one of its real roots, and collapses
+    the interval to that root when it is an endpoint.  ``refine`` keeps
     each width's interval on the number.
     """
 
@@ -922,17 +746,15 @@ class AlgebraicReal:
             raise ValueError("polynomial is not squarefree")
         coeffs = tuple(int(c) for c in f.coeffs)
         interval = RationalInterval(interval.lo, interval.hi)
-        # collapse endpoint roots to exact points up front
-        for end in (interval.lo, interval.hi):
-            if not f.sign_at(end):
-                interval = RationalInterval(end, end)
-                break
-        if interval.width > 0:
-            n = _variations(chain, interval.lo) - _variations(chain, interval.hi)
-            if n != 1:
-                raise ValueError(
-                    f"interval {interval} isolates {n} roots, expected exactly 1"
-                )
+        lo, hi = interval.lo, interval.hi
+        # roots in the closed [lo, hi]: the Sturm count on (lo, hi], plus lo
+        at_lo = not f.sign_at(lo)
+        n = at_lo + (_variations(chain, lo) - _variations(chain, hi) if lo < hi else 0)
+        if n != 1:
+            raise ValueError(f"interval {interval} isolates {n} roots, expected exactly 1")
+        # the one root at an endpoint collapses the interval to that point
+        if at_lo or not f.sign_at(hi):
+            interval = RationalInterval.point(lo if at_lo else hi)
         object.__setattr__(self, "poly", coeffs)
         object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "_refined", {})
@@ -991,11 +813,8 @@ class AlgebraicReal:
         out = self._refined[eps] = RationalInterval(lo, hi)
         return out
 
-    def to_float(self) -> float:
-        return float(self.refine(Fraction(1, 10**17)).mid)
-
     def __float__(self):
-        return self.to_float()
+        return float(self.refine(Fraction(1, 10**17)).mid)
 
     def __repr__(self):
         return f"AlgebraicReal({list(self.poly)}, {self.interval!r})"

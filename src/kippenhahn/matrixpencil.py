@@ -1,6 +1,5 @@
 """Hermitian matrix pencils: exact determinant polynomials, numeric support
-function via the smallest eigenvalue, numerical-range sampling, and
-spectrahedron membership.
+function via the smallest eigenvalue, and numerical-range sampling.
 
 Exact paths are fraction-free Bareiss elimination over Gaussian integers, whose
 pivots are the leading minors; floating paths call LAPACK's Hermitian
@@ -35,14 +34,9 @@ __all__ = [
     "eigen_hermitian",
     "support_function",
     "sample_numrange_boundary",
-    "spectrahedron_contains",
-    "dual_boundary_point",
     "parse_pencil_text",
     "format_pencil_text",
 ]
-
-GEOM_TOL = 1e-9
-
 
 class EigenError(RuntimeError):
     """The input is not a finite square Hermitian matrix, or LAPACK failed."""
@@ -87,10 +81,6 @@ class HermitianMatrix:
         for name, v in zip(cls.__slots__, (len(re), den // g, re, im)):
             object.__setattr__(M, name, v)
         return M
-
-    @classmethod
-    def zeros(cls, n):
-        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n):
@@ -156,11 +146,18 @@ class HermitianPencil:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        # K = (A + A^H) / 2 and L = (A - A^H) / 2i from the pairs (a_jk, a_kj)
+        # K = (A + A^H) / 2 and L = (A - A^H) / 2i from the pairs (a_jk, a_kj),
+        # part by part: (x + iy) / 2i = (y - ix) / 2
         pairs = [list(zip(row, col)) for row, col in zip(rows, zip(*rows))]
-        half, minus_half_i = Fraction(1, 2), GaussianRational(0, Fraction(-1, 2))
-        K = [[(a + b.conjugate()) * half for a, b in r] for r in pairs]
-        L = [[(a - b.conjugate()) * minus_half_i for a, b in r] for r in pairs]
+        half = Fraction(1, 2)
+        K = [
+            [GaussianRational((a.re + b.re) * half, (a.im - b.im) * half) for a, b in r]
+            for r in pairs
+        ]
+        L = [
+            [GaussianRational((a.im + b.im) * half, (b.re - a.re) * half) for a, b in r]
+            for r in pairs
+        ]
         return cls(HermitianMatrix(K), HermitianMatrix(L))
 
     def centroid(self) -> tuple[Fraction, Fraction]:
@@ -350,27 +347,6 @@ def sample_numrange_boundary(P: HermitianPencil, m: int):
         (theta, (float(y[0, 0]), float(y[0, 1])), float(h[0]))
         for theta, h, y in zip(thetas, vals, images)
     ]
-
-
-def spectrahedron_contains(P: HermitianPencil, pt, strict: bool = False) -> bool:
-    """Membership in S = {x : 1 + x1 K + x2 L positive semidefinite}."""
-    x1, x2 = float(pt[0]), float(pt[1])
-    if x1 == 0.0 and x2 == 0.0:
-        return True
-    lam = 1.0 + support_function(P, (x1, x2))
-    return lam > GEOM_TOL if strict else lam >= -GEOM_TOL
-
-
-def dual_boundary_point(P: HermitianPencil, x):
-    """Boundary point -(x1, x2)/h(x) of the dual convex set.
-
-    Requires h(x) < 0, i.e. the origin interior to the numerical range;
-    otherwise raises ValueError("origin not interior").
-    """
-    h = support_function(P, x)
-    if h >= -GEOM_TOL:
-        raise ValueError("origin not interior")
-    return (-float(x[0]) / h, -float(x[1]) / h)
 
 
 # --- text format ---------------------------------------------------------------

@@ -29,7 +29,6 @@ from .exactnum import (
     _ordered,
     _over_common_den,
     _pow_range,
-    power,
 )
 
 __all__ = [
@@ -140,10 +139,6 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables):
-        return cls(variables, {})
 
     @classmethod
     def constant(cls, variables, c):
@@ -257,7 +252,18 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(self, n, MultiPoly.constant(self.variables, 1))
+        """self**n by square-and-multiply; NotImplemented unless n is an
+        int >= 0."""
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        result, base = MultiPoly.constant(self.variables, 1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -294,13 +300,14 @@ class MultiPoly:
         return [self.diff(i) for i in range(len(self.variables))]
 
     def evaluate(self, point):
-        """Exact evaluation at a point of any ring with +, * and ** (Fraction,
-        GaussianRational, float/complex, RationalInterval, ComplexInterval).
+        """f at ``point``.
 
-        At a point of ints, Fractions and RationalIntervals the value is a
-        Fraction, or the interval enclosure (Moore's rules, even powers
-        tight) once a term involves an interval coordinate, computed on
-        integers by ``_evaluate_rational``."""
+        At a point of ints, Fractions and RationalIntervals the value is
+        exact: a Fraction, or the interval enclosure (Moore's rules, even
+        powers tight) once a term involves an interval coordinate, computed
+        on integers by ``_evaluate_rational``.  At any other point it is the
+        sum of terms in the coordinates' ring, which needs +, * and **:
+        floats, or the ``MultiPoly`` coordinates of a substitution."""
         if len(point) != len(self.variables):
             raise ValueError("point length does not match variable count")
         if all(isinstance(v, (int, Fraction, RationalInterval)) for v in point):
@@ -359,12 +366,6 @@ class MultiPoly:
         if lead < 0:
             c = -c
         return MultiPoly(self.variables, {e: v / c for e, v in self.terms.items()})
-
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if not c:
-            return MultiPoly.zero(self.variables)
-        return MultiPoly(self.variables, {e: v * c for e, v in self.terms.items()})
 
     def proportional_to(self, other: "MultiPoly") -> bool:
         """True when self = c * other for some nonzero rational c."""

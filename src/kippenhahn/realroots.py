@@ -240,13 +240,10 @@ def _candidate_coordinates(polys, strides, var: int):
         if polys[i].degree_in(1 - var) <= 0 and polys[j].degree_in(1 - var) <= 0:
             continue
         r = resultant(polys[i], polys[j], eliminate=1 - var)
+        # where both leading coefficients vanish, a fiber escapes to infinity;
+        # the Sylvester matrix's first column is zero there, so r vanishes too
         if not r.is_zero:
             res = r
-            # guard against fibers escaping where both leading coefficients
-            # vanish: append their shared roots
-            extra = polys[i].coefficients(1 - var)[-1].gcd(polys[j].coefficients(1 - var)[-1])
-            if extra.degree > 0:
-                res = res * extra
             break
     if res is None and all(p.degree_in(1 - var) <= 0 for p in polys):
         # no equation involves the eliminated variable: the common zeros lie

@@ -262,12 +262,17 @@ def test_criterion_9_tangency_certificates():
         ai = alpha.refine(eps)
         re_t = -(wi * 2).reciprocal()  # -1/(2w)
         im_t = ai * (wi * 2).reciprocal()  # a/(2w)
+
+        def holds(z, re, im):
+            """The witness box z contains the box re + i*im."""
+            return all(a.lo <= b.lo and b.hi <= a.hi for a, b in ((z.re, re), (z.im, im)))
+
         matched_signs = set()
         for w in wits:
             for sgn in (1, -1):
                 scaled = im_t if sgn > 0 else RationalInterval(-im_t.hi, -im_t.lo)
                 other = RationalInterval(-im_t.hi, -im_t.lo) if sgn > 0 else im_t
-                if w.contains_point(re_t, scaled, re_t, other):
+                if holds(w.x1, re_t, scaled) and holds(w.x2, re_t, other):
                     matched_signs.add(sgn)
         assert matched_signs == {1, -1}
         # the two witnesses form a complex-conjugate pair

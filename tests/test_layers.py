@@ -1,13 +1,18 @@
-"""Every layer the benchmark traces still exists in the package.
+"""Every layer the benchmark traces, and every name the package exports,
+still exists.
 
 ``perfbench/layers.py`` names package functions by module and attribute
 path; a traced benchmark run wraps each of them and crashes on a name that
 no longer resolves.  This guard catches such a deletion in well under a
-second, without running the benchmark.
+second, without running the benchmark.  The export guard does the same for
+each submodule's ``__all__`` and the names ``kippenhahn/__init__.py``
+imports.
 """
 
+import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import kippenhahn
@@ -36,3 +41,25 @@ def test_every_traced_layer_resolves():
         if not callable(target):
             missing.append(f"{module_name}.{qualname}")
     assert not missing, f"traced layers that no longer resolve: {missing}"
+
+
+def test_public_names_resolve_and_are_listed():
+    dangling, unlisted = [], []
+    for info in pkgutil.iter_modules(kippenhahn.__path__):
+        module = importlib.import_module(f"{kippenhahn.__name__}.{info.name}")
+        dangling += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    init = ast.parse(Path(kippenhahn.__file__).read_text())
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"{kippenhahn.__name__}.{node.module}")
+            unlisted += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if not alias.name.startswith("_") and alias.name not in module.__all__
+            ]
+    assert not dangling, f"names in __all__ that do not resolve: {dangling}"
+    assert not unlisted, f"names kippenhahn imports but __all__ omits: {unlisted}"

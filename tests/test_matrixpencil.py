@@ -15,15 +15,14 @@ from kippenhahn.matrixpencil import (
     HermitianMatrix,
     HermitianPencil,
     det_along_line,
-    dual_boundary_point,
     eigen_hermitian,
     format_pencil_text,
     parse_pencil_text,
     pencil_det,
     sample_numrange_boundary,
-    spectrahedron_contains,
     support_function,
 )
+from kippenhahn.convexgeom import PencilBody
 from kippenhahn.mpoly import parse_poly
 
 V3 = ("x0", "x1", "x2")
@@ -71,6 +70,33 @@ def sympy_matrix(M: HermitianMatrix) -> sympy.Matrix:
     )
 
 
+def _zeros(n) -> HermitianMatrix:
+    return HermitianMatrix([[0] * n for _ in range(n)])
+
+
+def _inner(u, v) -> GaussianRational:
+    """sum_i u_i * conj(v_i), computed on the (re, im) parts."""
+    return GaussianRational(
+        sum((x.re * y.re + x.im * y.im for x, y in zip(u, v)), Fraction(0)),
+        sum((x.im * y.re - x.re * y.im for x, y in zip(u, v)), Fraction(0)),
+    )
+
+
+def _real_combination(terms, shift=0) -> GaussianRational:
+    """shift + sum c * z over pairs (c, z) of a rational c and a Gaussian
+    rational z, computed on the (re, im) parts."""
+    return GaussianRational(
+        shift + sum(c * z.re for c, z in terms), sum(c * z.im for c, z in terms)
+    )
+
+
+def _dual_boundary_point(P, x):
+    """-(x1, x2) / h(x), the boundary point of the dual set on the ray
+    through x: 1 + h of it is 0.  Needs h(x) < 0, an interior origin."""
+    h = support_function(P, x)
+    return (-float(x[0]) / h, -float(x[1]) / h)
+
+
 _small = st.integers(-3, 3)
 _gaussian = st.builds(GaussianRational, _small, _small)
 _rational = st.fractions(-4, 4, max_denominator=6)
@@ -95,16 +121,13 @@ def _definiteness_cases(draw):
     if kind == "gram":
         r = draw(st.integers(1, n))  # r < n: singular
         B = [[draw(_gaussian) for _ in range(r)] for _ in range(n)]
-        rows = [
-            [sum((x * y.conjugate() for x, y in zip(bj, bk)), GaussianRational(0)) for bk in B]
-            for bj in B
-        ]
+        rows = [[_inner(bj, bk) for bk in B] for bj in B]
     else:
         rows = draw(_hermitian(n))
         if kind == "shifted":
             s = draw(st.integers(-4, 16))
             for j in range(n):
-                rows[j][j] += s
+                rows[j][j] = GaussianRational(rows[j][j].re + s)
         else:
             rows[0][0] = GaussianRational(0)
     return HermitianMatrix(rows)
@@ -120,7 +143,6 @@ class TestHermitianMatrix:
     def test_rejects_size_zero(self):
         for build in (
             lambda: HermitianMatrix([]),
-            lambda: HermitianMatrix.zeros(0),
             lambda: HermitianPencil(HermitianMatrix([]), HermitianMatrix([])),
             lambda: HermitianPencil.from_matrix([]),
         ):
@@ -165,7 +187,8 @@ class TestHermitianMatrix:
         assert M.n == P.n
         for j in range(P.n):
             for k in range(P.n):
-                assert M[j, k] == x1 * P.K[j, k] + x2 * P.L[j, k] + (s if j == k else 0)
+                value = _real_combination(((x1, P.K[j, k]), (x2, P.L[j, k])), s * (j == k))
+                assert M[j, k] == value
 
 
 class TestPencilDet:
@@ -176,7 +199,7 @@ class TestPencilDet:
         assert pencil_det(parabola_pencil()) == parse_poly("x0^2 + x0*x2 - x1^2", V3)
 
     def test_identity_only(self):
-        P = HermitianPencil(HermitianMatrix.zeros(4), HermitianMatrix.zeros(4))
+        P = HermitianPencil(_zeros(4), _zeros(4))
         assert pencil_det(P) == parse_poly("x0^4", V3)
 
     def test_homogeneous_of_degree_n(self):
@@ -241,10 +264,11 @@ class TestFromMatrix:
             for _ in range(n)
         ]
         P = HermitianPencil.from_matrix(A)
-        i = GaussianRational(0, 1)
         for j in range(n):
             for k in range(n):
-                assert P.K[j, k] + i * P.L[j, k] == A[j][k]
+                # K + iL, part by part
+                K, L = P.K[j, k], P.L[j, k]
+                assert GaussianRational(K.re - L.im, K.im + L.re) == A[j][k]
 
 
 class TestEigen:
@@ -363,34 +387,37 @@ class TestBoundarySampling:
 
 
 class TestSpectrahedron:
+    """Membership in S = {x : 1 + x1 K + x2 L >= 0} is the sign of
+    ``PencilBody.margin``, 1 + h(x)."""
+
     def test_origin_always_strictly_inside(self):
         rng = random.Random(60)
         for n in (1, 2, 3):
-            P = random_pencil(rng, n)
-            assert spectrahedron_contains(P, (0, 0), strict=True)
+            body = PencilBody(random_pencil(rng, n))
+            assert body.margin(0.0, 0.0) == 1.0
+            assert body.interior_exact(Fraction(0), Fraction(0))
 
     def test_parabola_boundary(self):
-        P = parabola_pencil()
-        assert spectrahedron_contains(P, (0, -1))
-        assert not spectrahedron_contains(P, (0, -1), strict=True)
+        body = PencilBody(parabola_pencil())
+        assert abs(body.margin(0.0, -1.0)) <= 1e-9
+        assert not body.interior_exact(Fraction(0), Fraction(-1))
 
     def test_outside_points(self):
         P = eq3_pencil()
         for theta in (0.3, 1.8, 4.0):
             x = (math.cos(theta), math.sin(theta))
-            s = dual_boundary_point(P, x)
-            outside = (1.05 * s[0], 1.05 * s[1])
-            assert not spectrahedron_contains(P, outside, strict=True)
+            s = _dual_boundary_point(P, x)
+            assert PencilBody(P).margin(1.05 * s[0], 1.05 * s[1]) < -1e-9
 
 
 class TestDualBoundary:
     def test_parabola(self):
         P = parabola_pencil()
-        assert np.allclose(dual_boundary_point(P, (1, 0)), (1.0, 0.0), atol=1e-10)
-        assert np.allclose(dual_boundary_point(P, (-1, 0)), (-1.0, 0.0), atol=1e-10)
+        assert np.allclose(_dual_boundary_point(P, (1, 0)), (1.0, 0.0), atol=1e-10)
+        assert np.allclose(_dual_boundary_point(P, (-1, 0)), (-1.0, 0.0), atol=1e-10)
 
     def test_eq3(self):
-        s = dual_boundary_point(eq3_pencil(), (1, 0))
+        s = _dual_boundary_point(eq3_pencil(), (1, 0))
         assert np.allclose(s, (1 / math.sqrt(2), 0.0), atol=1e-10)
 
     def test_boundary_has_zero_min_eigenvalue(self):
@@ -398,13 +425,9 @@ class TestDualBoundary:
         P = eq3_pencil()
         for _ in range(25):
             theta = rng.uniform(0, 2 * math.pi)
-            s = dual_boundary_point(P, (math.cos(theta), math.sin(theta)))
+            s = _dual_boundary_point(P, (math.cos(theta), math.sin(theta)))
             lam = 1.0 + support_function(P, s)
             assert abs(lam) <= 1e-9
-
-    def test_origin_not_interior_reported(self):
-        with pytest.raises(ValueError, match="origin not interior"):
-            dual_boundary_point(parabola_pencil(), (0, 1))
 
 
 @st.composite
@@ -419,10 +442,7 @@ def _line_cases(draw):
     def herm():
         if kind == "rank deficient":
             C = [[draw(mixed) for _ in range(draw(st.integers(0, n - 1)))] for _ in range(n)]
-            return [
-                [sum((x * y.conjugate() for x, y in zip(cj, ck)), GaussianRational(0)) for ck in C]
-                for cj in C
-            ]
+            return [[_inner(cj, ck) for ck in C] for cj in C]
         rows = [[GaussianRational(draw(_rational)) for _ in range(n)] for _ in range(n)]
         for j in range(n):
             for k in range(j + 1, n):
@@ -449,10 +469,13 @@ class TestCanonicalForm:
         K, L = P.K, P.L
         T = P.translated(x1, x2)
         pairs = [
-            (P.combine_exact(x1, x2, s), lambda j, k: x1 * K[j, k] + x2 * L[j, k] + s * (j == k)),
+            (
+                P.combine_exact(x1, x2, s),
+                lambda j, k: _real_combination(((x1, K[j, k]), (x2, L[j, k])), s * (j == k)),
+            ),
             (HermitianPencil(K, K).combine_exact(x1, -x1, s), lambda j, k: s * (j == k)),
-            (T.K, lambda j, k: K[j, k] - x1 * (j == k)),
-            (T.L, lambda j, k: L[j, k] - x2 * (j == k)),
+            (T.K, lambda j, k: _real_combination(((1, K[j, k]),), -x1 * (j == k))),
+            (T.L, lambda j, k: _real_combination(((1, L[j, k]),), -x2 * (j == k))),
         ]
         for M, value in pairs:
             E = _from_values(n, value)
@@ -494,9 +517,9 @@ class TestPencilFiles:
             # zero pivot at t = 0, which forces a row swap
             (HermitianMatrix([[0, 1], [1, 0]]), HermitianMatrix.identity(2), (-1, 0, 1)),
             # B = 0: a constant
-            (eq3_pencil().combine_exact(1, 0, 2), HermitianMatrix.zeros(3), 0),
+            (eq3_pencil().combine_exact(1, 0, 2), _zeros(3), 0),
             # rank-1 B: the degree drops to 1
-            (eq3_pencil().L, HermitianMatrix([[1, i, 0], [-i, 1, 0], [0, 0, 0]]), 1),
+            (eq3_pencil().L, HermitianMatrix([[1, i, 0], [i.conjugate(), 1, 0], [0, 0, 0]]), 1),
             # singular A: zero constant term
             (HermitianMatrix([[1, 1], [1, 1]]), HermitianMatrix.identity(2), (0, 2, 1)),
             # det identically 0

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kippenhahn.exactnum import GaussianRational, ParseError, RationalInterval, UniPoly
+from kippenhahn.exactnum import ParseError, RationalInterval, UniPoly
 from kippenhahn.mpoly import (
     MonomialOrder,
     MultiPoly,
@@ -68,7 +68,7 @@ class TestArithmetic:
 
     def test_annihilator(self):
         f = appendix_p()
-        assert (f * MultiPoly.zero(V3)).is_zero
+        assert (f * MultiPoly(V3)).is_zero
 
     def test_variable_mismatch(self):
         f = parse_poly("x0", V3)
@@ -116,10 +116,10 @@ class TestHomogeneity:
 
     def test_zero_raises(self):
         with pytest.raises(ValueError):
-            MultiPoly.zero(V3).homogeneous_degree()
+            MultiPoly(V3).homogeneous_degree()
 
     def test_zero_degree_sentinel(self):
-        assert MultiPoly.zero(V3).total_degree == -inf
+        assert MultiPoly(V3).total_degree == -inf
 
     def test_euler_identity(self):
         rng = random.Random(17)
@@ -135,9 +135,9 @@ class TestHomogeneity:
                 continue
             euler = sum(
                 (MultiPoly.variable(V3, i) * f.diff(i) for i in range(3)),
-                MultiPoly.zero(V3),
+                MultiPoly(V3),
             )
-            assert euler == f.scale(d)
+            assert euler == d * f
 
 
 class TestEvaluate:
@@ -157,13 +157,13 @@ class TestEvaluate:
 
     def test_gaussian_point(self):
         p = parse_poly("x0^2 + x1^2", V3)
-        i = GaussianRational(0, 1)
-        assert p.evaluate((GaussianRational(1), i, GaussianRational(0))) == 0
+        # Gaussian integers as Python complex numbers: the generic ring path
+        assert p.evaluate((1 + 0j, 1j, 0j)) == 0
 
     def test_interval_point(self):
         p = parse_poly("x0^2 - x1", V3)
         iv = p.evaluate((RationalInterval(1, 2), RationalInterval(0, 1), 0))
-        assert iv.contains(Fraction(3))  # 2^2 - 1
+        assert iv.lo <= 3 <= iv.hi  # 2^2 - 1
 
     def test_interval_evaluation_at_tangency_point(self):
         # the sextic vanishes at (1, (-1+ia)/(2w), (-1-ia)/(2w)) where w, a
@@ -175,9 +175,18 @@ class TestEvaluate:
         w = AlgebraicReal((-1, 0, 0, 0, 0, 0, -11, 0, 0, 0, 0, 0, 1),
                           RationalInterval(1, 2)).refine(eps)
         a = AlgebraicReal((5, 0, -10, 0, 1), RationalInterval(3, 4)).refine(eps)
+        class Box(ComplexInterval):
+            """A box with the ** that evaluate takes: n - 1 interval products."""
+
+            def __pow__(self, n):
+                out = self
+                for _ in range(n - 1):
+                    out = out * self
+                return out
+
         inv2w = (w * 2).reciprocal()
-        x1 = ComplexInterval(-inv2w, a * inv2w)
-        x2 = ComplexInterval(-inv2w, -(a * inv2w))
+        x1 = Box(-inv2w, a * inv2w)
+        x2 = Box(-inv2w, -(a * inv2w))
         val = fermat().evaluate((Fraction(1), x1, x2))
         assert val.contains_zero()
         assert float(val.re.width) < 1e-20 and float(val.im.width) < 1e-20
@@ -323,7 +332,7 @@ class TestCoefficients:
         assert f.coefficients(1) == [UniPoly([5]), UniPoly([-2, 0, 3]), UniPoly([0, 1])]
 
     def test_zero_gives_one_zero_column(self):
-        assert MultiPoly.zero(("a", "b")).coefficients(1) == [UniPoly([])]
+        assert MultiPoly(("a", "b")).coefficients(1) == [UniPoly([])]
 
 
 class TestSquarefree:
@@ -446,5 +455,5 @@ class TestTextFormat:
 
     def test_normalized_golden_form(self):
         f = appendix_p()
-        n = f.scale(Fraction(-64, 7)).normalized()
-        assert n == f.scale(64)  # content-1 integers, positive lead
+        n = (f * Fraction(-64, 7)).normalized()
+        assert n == f * 64  # content-1 integers, positive lead
