@@ -42,7 +42,7 @@ from .groebner import (
     ResourceLimitError,
     dual_curve,
 )
-from .realroots import count_real_roots, real_singular_points, resultant
+from .realroots import count_real_roots, real_singular_points
 
 __all__ = [
     "ProjPoint",
@@ -560,9 +560,9 @@ def _points_of(cloud):
 #
 # Coordinates of the dual point may involve one real algebraic number; the
 # polar line is parametrized with denominator-free coefficients in Z[w], the
-# restriction g(t) of the curve to the line is formed over Z[w][t], and a
-# double root is certified by the exact vanishing of Res_t(g, g') at the
-# algebraic number combined with complex interval Newton on g'.
+# restriction g(t) of the curve to the line is formed over Z[w][t], a double
+# root is decided exactly by the degree of gcd(g, g') over Q(w), and complex
+# interval Newton on g' localizes the contact points.
 
 # width to which the algebraic generator's isolating interval is refined
 TANGENCY_EPS = Fraction(1, 10**30)
@@ -703,10 +703,11 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
 
     Restricts p to the polar line of y (parametrized denominator-free over
     the ring generated by y's coordinates) as g(w, t), certifies a multiple
-    root through the exact vanishing of Res_t(g, g') at the algebraic
-    generator w, and localizes contact parameters by complex interval Newton
-    on g'.  Returns interval-certified witnesses in the chart x0 = 1; an
-    empty list means the polar of y is not tangent to the curve.
+    root by a positive degree of gcd(g, g') in Q(w)[t] at the algebraic
+    generator w (``AlgebraicReal.gcd_degree``, Euclid without inverses),
+    and localizes contact parameters by complex interval Newton on g'.
+    Returns interval-certified witnesses in the chart x0 = 1; an empty list
+    means the polar of y is not tangent to the curve.
     """
     if len(p.variables) != 3:
         raise ValueError("need a trivariate curve polynomial")
@@ -725,8 +726,8 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
         return []
     gp = g.diff(1)
 
-    # exact double-root test: Res_t(g, g') must vanish at the generator
-    if not gen.is_root_of(resultant(g, gp, eliminate=1)):
+    # exact double-root test: g and g' share a root over Q(w)
+    if gen.gcd_degree(g.coefficients(1), gp.coefficients(1)) <= 0:
         return []
 
     # interval coefficients in t, each enclosing its w-polynomial over w_iv

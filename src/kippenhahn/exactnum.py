@@ -20,8 +20,10 @@ A ``GaussianRational`` is parsed, printed and read by its parts ``re`` and
 divided, reduced to its primitive and squarefree parts, and interpolated.  Interval arithmetic
 (``RationalInterval``, ``ComplexInterval``) keeps +, -, * and /.
 
-Values never change after construction; ``UniPoly`` and ``AlgebraicReal``
-keep private caches of derived forms.
+An ``AlgebraicReal`` refines its interval to the very cells of bisection by
+quadratic interval refinement, and takes gcd degrees over the field it
+generates by Euclid without inverses.  Values never change after construction; ``UniPoly`` and
+``AlgebraicReal`` keep private caches of derived forms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, lcm
+from math import ceil, gcd, isqrt, lcm
 
 __all__ = [
     "ParseError",
@@ -338,36 +340,28 @@ class ComplexInterval:
         raise AttributeError("ComplexInterval is immutable")
 
     def __add__(self, other):
-        other = _coerce_complex_interval(other)
-        if other is NotImplemented:
+        if not isinstance(other, ComplexInterval):
             return NotImplemented
         return ComplexInterval(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return ComplexInterval(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = _coerce_complex_interval(other)
-        if other is NotImplemented:
+        if not isinstance(other, ComplexInterval):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        other = _coerce_complex_interval(other)
-        if other is NotImplemented:
+        if not isinstance(other, ComplexInterval):
             return NotImplemented
         return ComplexInterval(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _coerce_complex_interval(other)
-        if other is NotImplemented:
+        if not isinstance(other, ComplexInterval):
             return NotImplemented
         n2 = other.re**2 + other.im**2
         inv = n2.reciprocal()
@@ -394,16 +388,6 @@ class ComplexInterval:
 
     def __str__(self):
         return f"({self.re} + {self.im}*i)"
-
-
-def _coerce_complex_interval(v):
-    if isinstance(v, ComplexInterval):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ComplexInterval(RationalInterval.point(v))
-    if isinstance(v, RationalInterval):
-        return ComplexInterval(v)
-    return NotImplemented
 
 
 # --- the exact determinant kernel -------------------------------------------
@@ -721,6 +705,61 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     return rec(lo, hi)
 
 
+def _cross(p: list, q: list, r: list, s: list) -> list:
+    """p*q - r*s for ascending integer coefficient lists (trailing zeros
+    kept)."""
+    out = [0] * max(len(p) + len(q), len(r) + len(s))
+    for (u, v), sign in (((p, q), 1), ((r, s), -1)):
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] += sign * x * y
+    return out
+
+
+def _grid_cell(f: UniPoly, lo: Fraction, hi: Fraction, cells: int) -> tuple:
+    """The one of ``cells`` equal cells of [lo, hi] that holds the one root
+    of f there, as (lo', hi'), or (r, r) when the root r is a cell end; f is
+    nonzero at lo and hi.  Quadratic interval refinement (Abbott 2014) on
+    the grid points lo + i*h, i = a..b, which bracket the root: the secant
+    through the exact values at a and b picks one of n parts of the bracket
+    and two signs test it; n squares on a hit, and a miss takes sqrt(n) and
+    one bisection step."""
+    h = (hi - lo) / cells
+    (va, da), (vb, db) = f._horner(lo), f._horner(hi)
+    a, b, n = 0, cells, 4
+
+    def probe(x) -> bool:
+        """f's sign at grid point x moves the bracket end of that sign to x;
+        True when x is the root."""
+        nonlocal a, b, va, da, vb, db
+        v, d = f._horner(lo + x * h)
+        if v and (v > 0) == (va > 0):
+            a, va, da = x, v, d
+        elif v:
+            b, vb, db = x, v, d
+        return not v
+
+    while b - a > 1:
+        w = max((b - a) // n, 1)
+        # the nearest a + k*w to the secant root a + (b - a) |va| / (|va| + |vb|)
+        num, den = abs(va) * db * (b - a), (abs(va) * db + abs(vb) * da) * w
+        m = min(a + w * ((2 * num + den) // (2 * den)), b)
+        if a < m < b and probe(m):
+            return (lo + m * h,) * 2
+        # m is now an end of the bracket: test the part of width w beside it
+        x = a + w if m == a else b - w
+        if a < x < b and probe(x):
+            return (lo + x * h,) * 2
+        if b - a <= w:
+            n = min(n * n, b - a)
+            continue
+        n = max(isqrt(n), 2)
+        x = (a + b) // 2
+        if probe(x):
+            return (lo + x * h,) * 2
+    return lo + a * h, lo + b * h
+
+
 class AlgebraicReal:
     """Real algebraic number: squarefree integer polynomial + isolating interval.
 
@@ -783,10 +822,59 @@ class AlgebraicReal:
             return not g.sign_at(iv.lo)
         return sturm_count(g.int_coeffs(), iv.lo, iv.hi) == 1
 
+    def gcd_degree(self, f, g) -> int:
+        """deg gcd(f(a, t), g(a, t)) in Q(a)[t], a this number, for f and g
+        given by their coefficients in ascending powers of t, each a
+        ``UniPoly`` in a; -1 when both vanish at a.
+
+        Euclid by pseudo-remainders (Della Dora, Dicrescenzo and Duval 1985)
+        on integer polynomials in w reduced modulo m = ``poly``: each
+        reduction scales the whole t-polynomial by one lc(m)^k and strips its
+        integer content.  A leading coefficient is zero exactly when
+        ``is_root_of`` says so and is dropped before each step, so a step
+        multiplies only by leading coefficients nonzero at a: no inverse is
+        taken, and a reducible m needs no splitting."""
+        m, dm = self.poly, len(self.poly) - 1
+
+        def reduced(cs):
+            k = max(max(map(len, cs)) - dm, 0)
+            out = []
+            for c in cs:
+                c = [x * m[-1] ** (k - max(len(c) - dm, 0)) for x in c]
+                while len(c) > dm:
+                    top = c.pop()
+                    c = [m[-1] * x for x in c]
+                    for i in range(dm):
+                        c[len(c) - dm + i] -= top * m[i]
+                while c and not c[-1]:
+                    c.pop()
+                out.append(c)
+            content = gcd(*(x for c in out for x in c))
+            out = [[x // content for x in c] for c in out] if content > 1 else out
+            while out and (not out[-1] or self.is_root_of(UniPoly(out[-1]))):
+                out.pop()
+            return out
+
+        def ints(cs):
+            nums = iter(_over_common_den([x for c in cs for x in c.coeffs] or [0])[0])
+            return reduced([[next(nums) for _ in c.coeffs] for c in cs] or [[]])
+
+        a, b = ints(f), ints(g)
+        while b:
+            while len(a) >= len(b):
+                # a <- lc(b) a - top t^shift b, with the top term dropped
+                top, shift = a.pop(), len(a) - len(b) + 1
+                a = [_cross(b[-1], c, top, b[i - shift] if i >= shift else []) for i, c in enumerate(a)]
+                a = reduced(a) if a else a
+            a, b = b, a
+        return len(a) - 1
+
     def refine(self, eps) -> RationalInterval:
-        """Nested isolating interval of width <= eps, by sign bisection of
-        the isolating interval (a midpoint root collapses it), kept per eps;
-        it resumes from the narrowest kept interval wider than eps."""
+        """Nested isolating interval of width <= eps, kept per eps; it resumes
+        from the narrowest kept interval wider than eps.  The result is what
+        sign bisection of that interval returns: after the fewest halvings
+        that reach width <= eps, the cell of that grid holding the root, or
+        the root itself when it is a grid point (``_grid_cell``)."""
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -795,21 +883,13 @@ class AlgebraicReal:
             return iv
         if eps in self._refined:
             return self._refined[eps]
-        f = UniPoly(self.poly)
         lo, hi = iv.lo, iv.hi
         for k in self._refined.values():  # bisection passes through each
             if eps < k.width < hi - lo:
                 lo, hi = k.lo, k.hi
-        sign_lo = 1 if f.sign_at(lo) > 0 else -1
-        while hi - lo > eps:
-            mid = (lo + hi) / 2
-            v = f.sign_at(mid)
-            if v == 0:
-                lo = hi = mid
-            elif v == sign_lo:
-                lo = mid
-            else:
-                hi = mid
+        cells = 1 << (ceil((hi - lo) / eps) - 1).bit_length()
+        if cells > 1:
+            lo, hi = _grid_cell(UniPoly(self.poly), lo, hi, cells)
         out = self._refined[eps] = RationalInterval(lo, hi)
         return out
 

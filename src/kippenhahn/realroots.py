@@ -46,6 +46,9 @@ class DegenerateSystemError(RuntimeError):
 
 # width to which the census refines irrational singular-point coordinates
 COORD_EPS = Fraction(1, 10**20)
+# widths of the coarse boxes that drop candidate pairs before any coordinate
+# is refined to COORD_EPS
+COARSE_EPS = (Fraction(1, 2**16), Fraction(1, 2**40))
 
 
 def count_real_roots(f: UniPoly, lo=None, hi=None) -> int:
@@ -231,7 +234,8 @@ def _common_line_roots(restrictions: list[UniPoly]) -> list:
 
 def _candidate_coordinates(polys, strides, var: int):
     """Candidate values for coordinate ``var`` of common zeros, off the axes,
-    of the monomial-stripped system ``polys`` compressed by ``strides``."""
+    of the monomial-stripped system ``polys`` compressed by ``strides``: the
+    isolated roots, not yet rationalized."""
     pairs = [(1, 2), (0, 1), (0, 2)]
     res = None
     for i, j in pairs:
@@ -257,23 +261,30 @@ def _candidate_coordinates(polys, strides, var: int):
         )
     # undo the exponent compression: roots in the original coordinate
     expanded = res.squarefree_part().compose_power(strides[var])
-    return [_rationalize_root(r) for r in sturm_isolate(expanded)]
+    return sturm_isolate(expanded)
+
+
+def _straddles(system_polys, box) -> bool:
+    """Whether each polynomial's enclosure over ``box`` contains zero (exact
+    at a point).  Stops at the first that does not."""
+    for p in system_polys:
+        v = p.evaluate(box)
+        if (v != 0) if isinstance(v, Fraction) else not v.contains_zero():
+            return False
+    return True
 
 
 def _verify_box(system_polys, c1, c2) -> bool:
-    """Filter an off-axis candidate pair: each polynomial's enclosure over the
-    COORD_EPS box, then the COORD_EPS^2 box, must contain zero (exact for a
-    constant).  Stops at the first that does not.  A rational pair's box is
-    a point, so it takes one pass.  Two straddles do not prove that a common
-    zero exists."""
+    """Filter an off-axis candidate pair that survived the coarse boxes, its
+    coordinates rationalized: each polynomial's enclosure over the COORD_EPS
+    box, then the COORD_EPS^2 box, must contain zero (exact for a constant).
+    A rational pair's box is a point, so it takes one pass.  Two straddles
+    do not prove that a common zero exists."""
     rational = isinstance(c1, Fraction) and isinstance(c2, Fraction)
-    for e in (COORD_EPS,) if rational else (COORD_EPS, COORD_EPS**2):
-        box = (_coord_interval(c1, e), _coord_interval(c2, e))
-        for p in system_polys:
-            v = p.evaluate(box)
-            if (v != 0) if isinstance(v, Fraction) else not v.contains_zero():
-                return False
-    return True
+    return all(
+        _straddles(system_polys, (_coord_interval(c1, e), _coord_interval(c2, e)))
+        for e in ((COORD_EPS,) if rational else (COORD_EPS, COORD_EPS**2))
+    )
 
 
 def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
@@ -385,13 +396,18 @@ def _affine_singular_points(q: MultiPoly) -> list[SingularPoint]:
         strides = [max(gcd(*(p.exponent_gcd(v) for p in stripped)), 1) for v in range(2)]
         compressed = [p.compress_exponents(strides) for p in stripped]
         cands1, cands2 = (_candidate_coordinates(compressed, strides, v) for v in range(2))
+    # coarse boxes first: each contains its pair's finer boxes and points,
+    # and interval evaluation is inclusion-isotone, so a pair that one of them
+    # rejects fails _verify_box too
+    survivors = [(c1, c2) for c1 in cands1 for c2 in cands2]
+    for e in COARSE_EPS:
+        survivors = [(c1, c2) for c1, c2 in survivors if _straddles(system, (c1.refine(e), c2.refine(e)))]
+    # each coordinate of a surviving pair is rationalized once
+    exact = {c: _rationalize_root(c) for pair in survivors for c in pair}
+    survivors = [(exact[c1], exact[c2]) for c1, c2 in survivors]
     # a rational zero is on an axis; an AlgebraicReal never equals 0
     pairs += [
-        (c1, c2)
-        for c1 in cands1
-        if c1 != 0
-        for c2 in cands2
-        if c2 != 0 and _verify_box(system, c1, c2)
+        (c1, c2) for c1, c2 in survivors if c1 != 0 and c2 != 0 and _verify_box(system, c1, c2)
     ]
 
     hessian = (A.diff(0), A.diff(1), B.diff(1))
@@ -432,9 +448,11 @@ def real_singular_points(q: MultiPoly) -> list[SingularPoint]:
     points) or the interval Hessian (others), or refuted by the ring-sampling
     heuristic, or None (see ``SingularPoint``).  Points on the coordinate
     axes are exact common roots on the axis; points off them pair candidate
-    coordinates from resultants and pass ``_verify_box``, an interval filter
-    that does not prove existence.  Points on the line at infinity are
-    reported separately with chart "infinity".  Requires squarefree q.
+    coordinates from resultants, must straddle zero on the coarse boxes of
+    widths ``COARSE_EPS``, and then pass ``_verify_box`` on their
+    rationalized coordinates, an interval filter that does not prove
+    existence.  Points on the line at infinity are reported separately with
+    chart "infinity".  Requires squarefree q.
     """
     if len(q.variables) != 3:
         raise ValueError("expected a polynomial in three homogeneous variables")

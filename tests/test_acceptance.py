@@ -16,17 +16,14 @@ from kippenhahn.convexgeom import (
     ProjPoint,
     check_lemma_ws,
     convex_hull,
-    fermat6_body,
     hausdorff,
     line_curve_real_check,
-    line_meets_interior_dual,
-    point_outside_W,
     sample_kippenhahn_curve,
     tangency_check,
 )
 from kippenhahn.exactnum import AlgebraicReal, RationalInterval
 from kippenhahn.groebner import dual_curve
-from kippenhahn.matrixpencil import pencil_det, sample_numrange_boundary
+from kippenhahn.matrixpencil import sample_numrange_boundary
 from kippenhahn.mpoly import parse_poly
 from kippenhahn.realroots import UniPoly, count_real_roots
 

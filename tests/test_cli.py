@@ -1,5 +1,4 @@
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
@@ -389,8 +388,6 @@ class TestPlot:
         assert svgfig._fmt(-0.0006) == "-0.001"
 
     def test_marching_squares_circle(self):
-        import numpy as np
-
         p = parse_poly("x0^2 - x1^2 - x2^2", ("x0", "x1", "x2"))
         xs, ys, Z = svgfig.poly_grid(p, (-2, 2, -2, 2), 64)
         segs = svgfig.marching_squares(xs, ys, Z)

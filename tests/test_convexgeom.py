@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +13,11 @@ from kippenhahn.convexgeom import (
     OracleBody,
     PencilBody,
     PointCloud,
-    ProjLine,
     ProjPoint,
+    TANGENCY_EPS,
     _GRID,
     _horner,
+    _polar_line_param,
     _round_out,
     _support_sweep,
     check_lemma_ws,
@@ -32,6 +34,7 @@ from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil, support_function
 from kippenhahn.mpoly import MultiPoly, parse_poly
+from kippenhahn.realroots import resultant
 
 V3 = ("x0", "x1", "x2")
 
@@ -430,6 +433,127 @@ class TestTangency:
         a, b = wits
         assert a.x1.re.intersect(b.x1.re) is not None
         assert a.x1.im.intersect(RationalInterval(-b.x1.im.hi, -b.x1.im.lo)) is not None
+
+
+def _restriction(p, y):
+    """g(w, t), p on the polar line of y as ``tangency_check`` forms it, with
+    the leading t-coefficients that vanish at the generator dropped, and
+    that generator."""
+    Pp, Qq, gen, _ = _polar_line_param(y.coords, TANGENCY_EPS)
+    wt = ("w", "t")
+    t = MultiPoly.variable(wt, 1)
+
+    def lift(f):
+        return MultiPoly(wt, {(i, 0): c for i, c in enumerate(f.coeffs)})
+
+    g = p.normalized().evaluate([lift(Pp[i]) + t * lift(Qq[i]) for i in range(3)])
+    while g.degree_in(1) > 0 and gen.is_root_of(g.coefficients(1)[-1]):
+        g = MultiPoly(wt, {e: c for e, c in g.terms.items() if e[1] < g.degree_in(1)})
+    return g, gen
+
+
+def _contact_degree(p, y):
+    g, gen = _restriction(p, y)
+    return gen.gcd_degree(g.coefficients(1), g.diff(1).coefficients(1))
+
+
+def _random_form(rng, d):
+    """A random ternary form of degree d with small integer coefficients."""
+    return MultiPoly(V3, {(i, j, d - i - j): rng.randint(-3, 3)
+                          for i in range(d + 1) for j in range(d + 1 - i)})
+
+
+class TestContactDegree:
+    """``AlgebraicReal.gcd_degree`` on the restriction g of a curve to a
+    polar line, the double-root test of ``tangency_check``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 6]),
+        st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2), (5, 3), (7, 2)]),
+        st.lists(st.sampled_from([1, -1, 0, Fraction(1, 2), -2]), min_size=3, max_size=3),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_resultant_and_sympy(self, d, kj, kinds, planted, rng):
+        # the point has coordinates +-a = +-sqrt(k/j) (1 and -1 in ``kinds``)
+        # and rationals; a planted curve N h + s^2 r, N the norm of the
+        # polar's linear form, restricts to the line as s^2 r, so it is
+        # tangent wherever s vanishes there
+        k, j = kj
+        if all(c not in (1, -1) for c in kinds):
+            kinds[rng.randrange(3)] = 1
+        plus = AlgebraicReal((-k, 0, j), RationalInterval(0, k))
+        minus = AlgebraicReal((-k, 0, j), RationalInterval(-k, 0))
+        coords = [plus if c == 1 else minus if c == -1 else Fraction(c) for c in kinds]
+        x = [MultiPoly.variable(V3, i) for i in range(3)]
+        if planted:
+            A = sum((c * xi for c, xi in zip(coords, x) if isinstance(c, Fraction)), x[0] * 0)
+            B = sum((kinds[i] * x[i] for i in range(3) if isinstance(coords[i], AlgebraicReal)), x[0] * 0)
+            e = rng.randint(1, d // 2)
+            s = _random_form(rng, e)
+            p = (A * A * j - B * B * k) * _random_form(rng, d - 2) + s * s * _random_form(rng, d - 2 * e)
+        else:
+            p = _random_form(rng, d)
+        if p.is_zero:
+            return
+        g, gen = _restriction(p, ProjPoint(*coords))
+        if g.degree_in(1) <= 0:
+            return
+        gp = g.diff(1)
+        degree = gen.gcd_degree(g.coefficients(1), gp.coefficients(1))
+        assert (degree > 0) == gen.is_root_of(resultant(g, gp, eliminate=1))
+        a, t = sympy.sqrt(sympy.Rational(k, j)), sympy.symbols("t")
+        field = sympy.QQ.algebraic_field(a)
+        f = sympy.Poly(sum(int(c) * a**i * t**n for (i, n), c in g.terms.items()), t, domain=field)
+        assert degree == sympy.gcd(f, f.diff(t)).degree()
+
+    def test_reducible_generator_polynomial(self):
+        # a = sqrt 2 given by m = (w^2 - 2)(w^2 - 3): w^2 - 2 is a nonzero
+        # residue mod m that vanishes at a, so the leading coefficient of
+        # f = (w^2 - 2) t^3 + (t - w)^2 must be dropped: gcd(f, f') = t - a
+        gen = AlgebraicReal((6, 0, -5, 0, 1), RationalInterval(1, Fraction(3, 2)))
+        f = [UniPoly([0, 0, 1]), UniPoly([0, -2]), UniPoly([1]), UniPoly([-2, 0, 1])]
+        fp = [UniPoly([0, -2]), UniPoly([2]), UniPoly([-6, 0, 3])]
+        assert gen.gcd_degree(f, fp) == 1
+        assert gen.gcd_degree(f[:-1], [UniPoly([1])]) == 0
+        # q w - p, p/q a convergent of sqrt 2, is -1.9e-11 at a, not zero:
+        # the cubic keeps its lead and has no double root
+        p, q = 26102926097, 18457556052
+        g = f[:-1] + [UniPoly([-p, q])]
+        gp = fp[:-1] + [UniPoly([-3 * p, 3 * q])]
+        assert gen.gcd_degree(g, gp) == 0
+        assert gen.gcd_degree([UniPoly([-2, 0, 1])], [UniPoly([])]) == -1
+        # the polar of (a : 1 : 1) touches x0^2 = x1^2 + x2^2 at (a : -1 : -1)
+        conic = parse_poly("x0^2 - x1^2 - x2^2", V3)
+        y = ProjPoint(gen, 1, 1)
+        assert _contact_degree(conic, y) == 1
+        (w,) = tangency_check(conic, y)
+        for z in (w.x1, w.x2):
+            assert abs(z.to_complex() + 2**-0.5) < 1e-12
+
+    def test_non_monic_generator_polynomial(self):
+        # a = sqrt(3/2) given by 2 w^2 - 3: reducing w^2 in the constant
+        # coefficient of (t - w)^2 scales it by lc(m) = 2, and the other
+        # coefficients must be scaled with it
+        gen = AlgebraicReal((-3, 0, 2), RationalInterval(0, 2))
+        f = [UniPoly([0, 0, 1]), UniPoly([0, -2]), UniPoly([1])]
+        assert gen.gcd_degree(f, [UniPoly([0, -2]), UniPoly([2])]) == 1
+        assert gen.gcd_degree(f, [UniPoly([0, -1]), UniPoly([2])]) == 0
+
+    @pytest.mark.parametrize("s1, s2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_fermat_points(self, s1, s2):
+        p = parse_poly("x0^6 - x1^6 - x2^6", V3)
+        plus = omega()
+        minus = AlgebraicReal(plus.poly, RationalInterval(-2, -1))
+        y = ProjPoint(1, *(plus if s > 0 else minus for s in (s1, s2)))
+        assert _contact_degree(p, y) == 2 == len(tangency_check(p, y))
+
+    def test_control_point(self):
+        p = parse_poly("x0^6 - x1^6 - x2^6", V3)
+        y = ProjPoint(1, Fraction(1, 3), omega())
+        assert _contact_degree(p, y) == 0
+        assert tangency_check(p, y) == []
 
 
 _long = st.builds(

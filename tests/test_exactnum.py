@@ -478,6 +478,25 @@ def bisect_oracle(poly, lo, hi, eps):
     return (lo + hi) / 2
 
 
+def _bisection(poly, iv, eps):
+    """Plain sign bisection of iv down to width <= eps on Fraction values of
+    poly, collapsing to a midpoint that is a root: the reference that
+    ``AlgebraicReal.refine`` must reproduce."""
+
+    def sign(x):
+        v = sum(Fraction(c) * x**i for i, c in enumerate(poly))
+        return (v > 0) - (v < 0)
+
+    lo, hi = iv.lo, iv.hi
+    start = sign(lo)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if not sign(mid):
+            return RationalInterval(mid, mid)
+        lo, hi = (mid, hi) if sign(mid) == start else (lo, mid)
+    return RationalInterval(lo, hi)
+
+
 class TestAlgebraicReal:
     def test_sqrt2_refine(self):
         a = AlgebraicReal((-2, 0, 1), RationalInterval(1, 2))
@@ -558,16 +577,65 @@ class TestAlgebraicReal:
         eps = Fraction(1, 10**20)
         a, fresh = (AlgebraicReal(poly, RationalInterval(lo, hi)) for _ in range(2))
         calls = []
-        sign_at = UniPoly.sign_at
-        monkeypatch.setattr(UniPoly, "sign_at", lambda f, x: calls.append(x) or sign_at(f, x))
-        a.refine(eps)
+        horner = UniPoly._horner
+        monkeypatch.setattr(UniPoly, "_horner", lambda f, x: calls.append(x) or horner(f, x))
+        kept = a.refine(eps)
         calls.clear()
         resumed = a.refine(eps**2)
-        steps = len(calls)
+        steps = list(calls)
         calls.clear()
         assert resumed == fresh.refine(eps**2)
-        # the second half of the halvings only, plus the sign at the start
-        assert steps <= len(calls) // 2 + 2
+        # every value the resumed refinement takes lies in the kept interval
+        assert steps and all(kept.lo <= x <= kept.hi for x in steps)
+        assert len(steps) < len(calls)
+
+    def test_refine_spends_few_evaluations_on_omega(self, monkeypatch):
+        # bisection from [1, 2] to width 1e-40 takes 133 signs; quadratic
+        # interval refinement took 21 values
+        a = AlgebraicReal((-1, 0, 0, 0, 0, 0, -11, 0, 0, 0, 0, 0, 1), RationalInterval(1, 2))
+        calls = []
+        horner = UniPoly._horner
+        monkeypatch.setattr(UniPoly, "_horner", lambda f, x: calls.append(x) or horner(f, x))
+        iv = a.refine(Fraction(1, 10**40))
+        assert iv == _bisection(a.poly, a.interval, Fraction(1, 10**40))
+        assert len(calls) <= 30
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 4, 8, 64, 3, 5, 6, 7, 12, 9])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([[1], [-2, 0, 1], [-3, 0, 0, 1], [1, 1, 1]]),
+        st.lists(
+            st.sampled_from([Fraction(1, 10**k) for k in (1, 2, 5, 13, 20, 40)]
+                            + [Fraction(1, 2**k) for k in (3, 7, 30, 64)] + [Fraction(3, 7), Fraction(2)]),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example([(1, 2), (3, 4)], [1], [Fraction(1, 2**30), Fraction(1, 10**20)])
+    @example([(1, 3), (-5, 7)], [-2, 0, 1], [Fraction(1, 10**40)])
+    def test_refine_matches_bisection(self, roots, cofactor, widths):
+        # planted rational roots k/d, dyadic (grid points of bisection from a
+        # dyadic interval) and not, beside the irrational roots of a cofactor
+        poly = cofactor
+        for k, d in set(roots):
+            poly = _mul(poly, [-k, d])
+        isolated = sturm_isolate(UniPoly(poly))
+        squarefree = isolated[0].poly
+        intervals = [root.interval for root in isolated]
+        # an interval centred on the first planted root, whose midpoint it is
+        r, h = Fraction(*roots[0]), Fraction(1, 2**12)
+        if sturm_count(squarefree, r - h, r + h) == 1:
+            intervals.append(RationalInterval(r - h, r + h))
+        for iv in intervals:
+            again = AlgebraicReal(squarefree, iv)
+            for eps in widths:
+                want = _bisection(squarefree, iv, eps)
+                assert AlgebraicReal(squarefree, iv).refine(eps) == want
+                assert again.refine(eps) == want  # through the kept intervals
 
     def test_sturm_certificate_is_one(self):
         a = AlgebraicReal((-2, 0, 1), RationalInterval(1, 2))

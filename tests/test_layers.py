@@ -6,7 +6,8 @@ path; a traced benchmark run wraps each of them and crashes on a name that
 no longer resolves.  This guard catches such a deletion in well under a
 second, without running the benchmark.  The export guard does the same for
 each submodule's ``__all__`` and the names ``kippenhahn/__init__.py``
-imports.
+imports.  A third guard scans the test modules for imported names they
+never use.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 import kippenhahn
 import kippenhahn.cli  # noqa: F401  (``cli.main`` is a traced layer)
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+TESTS = Path(__file__).resolve().parent
+LAYERS_PY = TESTS.parent / "perfbench" / "layers.py"
 
 
 def _load_layers():
@@ -63,3 +65,18 @@ def test_public_names_resolve_and_are_listed():
             ]
     assert not dangling, f"names in __all__ that do not resolve: {dangling}"
     assert not unlisted, f"names kippenhahn imports but __all__ omits: {unlisted}"
+
+
+def test_test_modules_use_every_import():
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, f"test modules import names they never use: {unused}"

@@ -168,26 +168,24 @@ class TestEvaluate:
     def test_interval_evaluation_at_tangency_point(self):
         # the sextic vanishes at (1, (-1+ia)/(2w), (-1-ia)/(2w)) where w, a
         # are the algebraic numbers with w^12 = 11 w^6 + 1 and a^2 = 5+2*sqrt5;
-        # enclosure arithmetic must produce a tiny interval around zero
+        # its terms, summed as ComplexInterval products, must enclose zero
+        # in a tiny box
         from kippenhahn.exactnum import AlgebraicReal, ComplexInterval
 
         eps = Fraction(1, 10**30)
         w = AlgebraicReal((-1, 0, 0, 0, 0, 0, -11, 0, 0, 0, 0, 0, 1),
                           RationalInterval(1, 2)).refine(eps)
         a = AlgebraicReal((5, 0, -10, 0, 1), RationalInterval(3, 4)).refine(eps)
-        class Box(ComplexInterval):
-            """A box with the ** that evaluate takes: n - 1 interval products."""
-
-            def __pow__(self, n):
-                out = self
-                for _ in range(n - 1):
-                    out = out * self
-                return out
-
         inv2w = (w * 2).reciprocal()
-        x1 = Box(-inv2w, a * inv2w)
-        x2 = Box(-inv2w, -(a * inv2w))
-        val = fermat().evaluate((Fraction(1), x1, x2))
+        point = (ComplexInterval(1), ComplexInterval(-inv2w, a * inv2w),
+                 ComplexInterval(-inv2w, -(a * inv2w)))
+        val = None
+        for exp, c in fermat().terms.items():
+            term = ComplexInterval(c)
+            for x, e in zip(point, exp):
+                for _ in range(e):
+                    term = term * x
+            val = term if val is None else val + term
         assert val.contains_zero()
         assert float(val.re.width) < 1e-20 and float(val.im.width) < 1e-20
 
@@ -277,6 +275,28 @@ class TestEvaluateOnIntegers:
             expected += term
         got = f.evaluate(point)
         assert type(got) is Fraction and got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _poly2,
+        st.tuples(_box, _box),
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16), min_size=4, max_size=4),
+    )
+    @example(_xy({(2, 0): 1, (1, 1): -3, (0, 0): 1}), (RationalInterval(-1, 2), RationalInterval(-2, 1)),
+             [Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(1)])
+    def test_sub_box_value_lies_in_the_box_value(self, f, box, cuts):
+        # inclusion isotone: the census drops a pair whose coarse box
+        # excludes zero, because every finer box inside gives a value inside
+        sub = tuple(
+            RationalInterval(v.lo + v.width * min(c), v.lo + v.width * max(c))
+            for v, c in zip(box, (cuts[:2], cuts[2:]))
+        )
+
+        def ends(v):
+            return (v.lo, v.hi) if isinstance(v, RationalInterval) else (v, v)
+
+        (lo, hi), (sub_lo, sub_hi) = ends(f.evaluate(box)), ends(f.evaluate(sub))
+        assert lo <= sub_lo <= sub_hi <= hi
 
     def test_interval_point_stays_fraction_off_its_variable(self):
         # no term involves the interval coordinate: the value is a Fraction

@@ -15,7 +15,6 @@ from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import pencil_det
 from kippenhahn.mpoly import MultiPoly, parse_poly
 from kippenhahn.realroots import (
-    DegenerateSystemError,
     UniPoly,
     count_real_roots,
     real_singular_points,
@@ -421,6 +420,31 @@ _int_factor = st.one_of(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda bc: [bc[1], bc[0], 1]),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ab: [-ab[1], -ab[0], 0, 1]),
 )
+
+
+class TestCoarseBoxes:
+    """The census drops candidate pairs on the coarse boxes before it
+    rationalizes any coordinate; that must drop no pair that
+    ``_verify_box`` would keep."""
+
+    @pytest.mark.parametrize("name", ["seed13", "fermat6"])
+    def test_census_without_coarse_boxes_is_the_same(self, name, request, monkeypatch):
+        if name == "seed13":
+            q = dual_curve(pencil_det(make_random_pencil(random.Random(13), 3)))
+        else:
+            q = request.getfixturevalue("fermat_dual")[0]
+        rationalized = []
+        original = realroots._rationalize_root
+        monkeypatch.setattr(realroots, "_rationalize_root", lambda r: rationalized.append(r) or original(r))
+        with_boxes = real_singular_points(q)
+        few = len(rationalized)
+        monkeypatch.setattr(realroots, "COARSE_EPS", ())
+        rationalized.clear()
+        without = real_singular_points(q)
+        assert [(repr(s.y1), repr(s.y2), s.isolated) for s in with_boxes] == [
+            (repr(s.y1), repr(s.y2), s.isolated) for s in without
+        ]
+        assert few < len(rationalized)
 
 
 class TestRationalizeRoot:
