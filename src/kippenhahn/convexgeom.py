@@ -24,6 +24,7 @@ from .exactnum import (
     _mul_range,
     _ordered,
     _over_common_den,
+    sturm_count,
 )
 from .mpoly import MultiPoly, parse_poly
 from .matrixpencil import (
@@ -560,9 +561,10 @@ def _points_of(cloud):
 #
 # Coordinates of the dual point may involve one real algebraic number; the
 # polar line is parametrized with denominator-free coefficients in Z[w], the
-# restriction g(t) of the curve to the line is formed over Z[w][t], a double
-# root is decided exactly by the degree of gcd(g, g') over Q(w), and complex
-# interval Newton on g' localizes the contact points.
+# restriction g(t) of the curve to the line is formed over Z[w][t], and one
+# exact object, the contact gcd G = gcd(g, g') over Q(w), both decides a
+# double root (deg G > 0) and carries the contact points: complex interval
+# Newton on G localizes them, so each witness box holds a root of G.
 
 # width to which the algebraic generator's isolating interval is refined
 TANGENCY_EPS = Fraction(1, 10**30)
@@ -580,19 +582,26 @@ class TangencyWitness:
 
 
 def _generator_sign(c: AlgebraicReal, base: AlgebraicReal) -> int:
-    """+1/-1 when c is the same root as base or its negation, else 0."""
+    """+1/-1 when c is the same root as base or its negation, else 0.  Each
+    refined interval holds exactly one root of the common polynomial, so
+    two of them hold the same root iff their closed intersection holds a
+    root, which a Sturm count decides."""
     if c.poly != base.poly:
         return 0
     a = c.refine(TANGENCY_EPS)
     b = base.refine(TANGENCY_EPS)
-    if a.intersect(b) is not None:
+
+    def holds_root(iv) -> bool:
+        return iv is not None and (
+            sturm_count(c.poly, iv.lo, iv.hi) > 0 or not UniPoly(c.poly).sign_at(iv.lo)
+        )
+
+    if holds_root(a.intersect(b)):
         return 1
     # the negated root satisfies the same polynomial iff m(-t) = +-m(t)
     odd_zero = all(not coef for i, coef in enumerate(c.poly) if i % 2 == 1)
     even_zero = all(not coef for i, coef in enumerate(c.poly) if i % 2 == 0)
-    if (odd_zero or even_zero) and a.intersect(
-        RationalInterval(-b.hi, -b.lo)
-    ) is not None:
+    if (odd_zero or even_zero) and holds_root(a.intersect(-b)):
         return -1
     return 0
 
@@ -702,12 +711,17 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
     """Contact points where the polar line of y touches the curve {p = 0}.
 
     Restricts p to the polar line of y (parametrized denominator-free over
-    the ring generated by y's coordinates) as g(w, t), certifies a multiple
-    root by a positive degree of gcd(g, g') in Q(w)[t] at the algebraic
-    generator w (``AlgebraicReal.gcd_degree``, Euclid without inverses),
-    and localizes contact parameters by complex interval Newton on g'.
-    Returns interval-certified witnesses in the chart x0 = 1; an empty list
-    means the polar of y is not tangent to the curve.
+    the ring generated by y's coordinates) as g(w, t) and takes the contact
+    gcd G = gcd(g, g') in Q(w)[t] at the algebraic generator w
+    (``AlgebraicReal.gcd``, Euclid without inverses): the roots of G are
+    exactly the multiple roots of g.  Complex interval Newton on G
+    certifies each witness box to hold one root of G, so every witness is a
+    proven contact point; at a double tangent G is squarefree and there is
+    one witness per root of G.  Returns the witnesses in the chart x0 = 1,
+    none when deg G = 0 (the polar of y is not tangent).  A multiple root of
+    G (a contact of order three or more), which Newton cannot isolate, and a
+    contact at infinity give no witness.  Raises ``ValueError`` when the
+    polar line lies inside the curve.
     """
     if len(p.variables) != 3:
         raise ValueError("need a trivariate curve polynomial")
@@ -719,32 +733,24 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
         return MultiPoly(wt, {(i, 0): c for i, c in enumerate(f.coeffs)})
 
     g = p.normalized().evaluate([lift(Pp[i]) + t * lift(Qq[i]) for i in range(3)])
-    while g.degree_in(1) > 0 and gen.is_root_of(g.coefficients(1)[-1]):
-        top = g.degree_in(1)
-        g = MultiPoly(wt, {e: c for e, c in g.terms.items() if e[1] < top})
-    if g.degree_in(1) <= 0:
-        return []
-    gp = g.diff(1)
-
-    # exact double-root test: g and g' share a root over Q(w)
-    if gen.gcd_degree(g.coefficients(1), gp.coefficients(1)) <= 0:
+    G = gen.gcd(g.coefficients(1), g.diff(1).coefficients(1))
+    if not G:
+        raise ValueError("polar line lies inside the curve")
+    if len(G) == 1:
         return []
 
-    # interval coefficients in t, each enclosing its w-polynomial over w_iv
-    g_iv, gp_iv, gpp_iv = (
-        [_round_out(ComplexInterval(_enclose(c, w_iv))) for c in h.coefficients(1)]
-        for h in (g, gp, gp.diff(1))
+    # interval coefficients in t of G and G', each enclosing its w-polynomial
+    # over w_iv
+    G_iv, Gp_iv = (
+        [_round_out(ComplexInterval(_enclose(UniPoly(c), w_iv))) for c in h]
+        for h in (G, [[j * x for x in c] for j, c in enumerate(G)][1:])
     )
 
-    # localize critical points of g numerically, certify by interval Newton
-    wf = float(w_iv.mid)
-    gp_float = [
-        sum(c * wf**i for i, c in enumerate(wp.coeffs)) for wp in gp.coefficients(1)
-    ]
-    roots = np.roots(list(reversed(gp_float))) if len(gp_float) > 1 else []
+    # localize the roots of G numerically, certify by interval Newton
+    lead = G_iv[-1].re.mid
+    roots = np.roots([float(c.re.mid / lead) for c in reversed(G_iv)])
     boxes = []
     for r in roots:
-        box = None
         rad = Fraction(1, 10**6)
         t0_re = Fraction(float(r.real)).limit_denominator(10**15)
         t0_im = Fraction(float(r.imag)).limit_denominator(10**15)
@@ -755,21 +761,15 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
             )
             mid = ComplexInterval(t0_re, t0_im)
             try:
-                newton = mid - _horner(gp_iv, mid) / _horner(gpp_iv, T)
+                newton = mid - _horner(G_iv, mid) / _horner(Gp_iv, T)
             except ZeroDivisionError:
                 rad = rad / 16
                 continue
             if newton.strictly_inside(T):
                 # the exact box proved one zero; rounding out keeps it inside
-                box = _round_out(newton)
+                boxes.append(_round_out(newton))
                 break
             rad = rad / 16
-        if box is None:
-            continue
-        # discard critical points that certainly miss the curve
-        if not _horner(g_iv, box).contains_zero():
-            continue
-        boxes.append(box)
 
     out = []
     for T in boxes:

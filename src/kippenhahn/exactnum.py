@@ -9,20 +9,23 @@ count and algebraic-number certificate runs on.
 
 Certification arithmetic runs on integers over one common positive
 denominator (``_over_common_den``), reduced once at the end or, for a sign,
-never: ``UniPoly``'s integer Horner, the Sturm remainders (integer
-pseudo-remainders), and Moore's interval product and power (``_mul_range``,
-``_pow_range``).  Positive scaling commutes exactly with each, so results
-equal those of the same arithmetic on ``Fraction``s.
+never: ``UniPoly``'s integer Horner, the one integer pseudo-division
+(``_pdiv``, by |lc| so that signs survive), and Moore's interval product and
+power (``_mul_range``, ``_pow_range``).  Positive scaling commutes exactly
+with each, so results equal those of the same arithmetic on ``Fraction``s.
+``_pdiv`` gives the Sturm remainders and ``UniPoly.gcd``, the quotients of a
+chain by gcd(f, f'), and the reductions modulo an algebraic number's
+polynomial.
 
 A ``GaussianRational`` is parsed, printed and read by its parts ``re`` and
 ``im``; it has no arithmetic, since exact matrices compute on integer rows.
 ``UniPoly`` keeps negation but no other ring operator: it is evaluated,
-divided, reduced to its primitive and squarefree parts, and interpolated.  Interval arithmetic
-(``RationalInterval``, ``ComplexInterval``) keeps +, -, * and /.
+reduced to its primitive and squarefree parts, and interpolated.  Interval
+arithmetic (``RationalInterval``, ``ComplexInterval``) keeps +, -, * and /.
 
 An ``AlgebraicReal`` refines its interval to the very cells of bisection by
-quadratic interval refinement, and takes gcd degrees over the field it
-generates by Euclid without inverses.  Values never change after construction; ``UniPoly`` and
+quadratic interval refinement, and takes gcds over the field it generates
+by Euclid without inverses.  Values never change after construction; ``UniPoly`` and
 ``AlgebraicReal`` keep private caches of derived forms.
 """
 
@@ -521,25 +524,6 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def divmod(self, other: "UniPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        lb = other.coeffs[-1]
-        db = other.degree
-        while len(r) - 1 >= db and any(r):
-            if not r[-1]:
-                r.pop()
-                continue
-            shift = len(r) - 1 - db
-            factor = r[-1] / lb
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= factor * c
-            r.pop()
-        return UniPoly(q), UniPoly(r)
-
     def primitive(self) -> "UniPoly":
         """Scale to coprime integers with positive leading coefficient."""
         if self.is_zero:
@@ -555,13 +539,12 @@ class UniPoly:
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Primitive gcd, by a remainder sequence of integer
-        pseudo-remainders, each scaled back to coprime integers (Brown-Traub
-        primitive PRS, ``_prs_remainder``), so the coefficients stay near the
-        size of the inputs' instead of growing as in Euclid over the
-        rationals."""
+        pseudo-remainders (``_pdiv``), each scaled back to coprime integers
+        (Brown-Traub primitive PRS), so the coefficients stay near the size
+        of the inputs' instead of growing as in Euclid over the rationals."""
         a, b = _primitive_ints(self.coeffs), _primitive_ints(other.coeffs)
         while b:
-            a, b = b, _prs_remainder(a, b)
+            a, b = b, _primitive_ints(_pdiv(a, b, 0)[1])
         return UniPoly(a).primitive()
 
     def squarefree_part(self) -> "UniPoly":
@@ -606,32 +589,40 @@ def _primitive_ints(coeffs) -> list:
     return [c // g for c in nums]
 
 
-def _prs_remainder(a: list, b: list) -> list:
-    """The next member after a, b (ascending coprime integers, b nonzero) of
-    a Sturm sequence: the primitive part of -rem(a, b).  The pseudo-remainder
-    scales by |lc(b)| > 0 and subtracts sign(lc(b)) times the top, so it is a
-    positive multiple of the remainder over Q and keeps its signs."""
+def _pdiv(a: list, b: list, k: int) -> tuple:
+    """(q, r) with |lc b|^k a = q b + r and deg r < deg b, for ascending
+    integer lists a and b (b's top nonzero); a k below the number of steps,
+    max(len a - len b + 1, 0), counts as that number, and r has no trailing
+    zeros.  Each step scales by |lc b| > 0 and subtracts sign(lc b) times
+    the top, so q and r are positive multiples of the quotient and the
+    remainder over Q, with their signs."""
     r, db = list(a), len(b) - 1
     m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    while len(r) > db:
+    q = [0] * max(len(r) - db, 0)
+    for shift in range(len(q) - 1, -1, -1):
         top = r.pop() * s
-        if top:
-            shift = len(r) - db
-            if m != 1:
-                r = [m * c for c in r]
-            for i in range(db):
-                r[shift + i] -= top * b[i]
-    return _primitive_ints([-c for c in r])
+        if m != 1:
+            r, q = [m * c for c in r], [m * c for c in q]
+        q[shift] = top
+        for i in range(db):
+            r[shift + i] -= top * b[i]
+    if m != 1 and k > len(q):
+        scale = m ** (k - len(q))
+        r, q = [scale * c for c in r], [scale * c for c in q]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def _sturm_chain(f: UniPoly) -> tuple:
     """Sturm chain of a nonzero f, each member rescaled to coprime integers
     by a positive rational; the sign structure is what the root count lives
-    on.  The members after f' come from integer pseudo-remainders
-    (``_prs_remainder``).  When the last member, gcd(f, f'), is not constant,
-    every member is divided by it, so that a multiple root at an interval end
-    is counted like a simple one.  The last few chains are cached by that
-    first member, so a polynomial's chain is built once."""
+    on.  Each member after f' is the primitive part of -rem(a, b), a and b
+    the two before it, by integer pseudo-division (``_pdiv``).  When the
+    last member, gcd(f, f'), is not constant, every member is divided by
+    it, so that a multiple root at an interval end is counted like a simple
+    one.  The last few chains are cached by that first member, so a
+    polynomial's chain is built once."""
     return _chain_of_primitive(tuple(_primitive_ints(f.coeffs)))
 
 
@@ -641,13 +632,13 @@ def _chain_of_primitive(head: tuple) -> tuple:
     d = _primitive_ints([i * c for i, c in enumerate(head)][1:])
     if d:
         rows.append(d)
-        while r := _prs_remainder(rows[-2], rows[-1]):
+        while r := _primitive_ints([-c for c in _pdiv(rows[-2], rows[-1], 0)[1]]):
             rows.append(r)
-    chain = [UniPoly(r) for r in rows]
-    g = chain[-1]
-    if g.degree > 0:
-        chain = [h.divmod(g)[0] for h in chain]
-    return tuple(chain)
+    # the quotients by a nonconstant gcd are integral (Gauss's lemma): the
+    # primitive part of the pseudo-quotient is the quotient itself
+    if len(rows[-1]) > 1:
+        rows = [_primitive_ints(_pdiv(h, rows[-1], 0)[0]) for h in rows]
+    return tuple(UniPoly(r) for r in rows)
 
 
 def _variations(chain, x) -> int:
@@ -822,14 +813,17 @@ class AlgebraicReal:
             return not g.sign_at(iv.lo)
         return sturm_count(g.int_coeffs(), iv.lo, iv.hi) == 1
 
-    def gcd_degree(self, f, g) -> int:
-        """deg gcd(f(a, t), g(a, t)) in Q(a)[t], a this number, for f and g
-        given by their coefficients in ascending powers of t, each a
-        ``UniPoly`` in a; -1 when both vanish at a.
+    def gcd(self, f, g) -> list:
+        """gcd(f(a, t), g(a, t)) in Q(a)[t], a this number, for f and g given
+        by their coefficients in ascending powers of t, each a ``UniPoly`` in
+        a.  The gcd comes the same way, each coefficient an ascending integer
+        list in a reduced modulo m = ``poly``, the leading one nonzero at a;
+        [] when both f and g vanish at a.
 
         Euclid by pseudo-remainders (Della Dora, Dicrescenzo and Duval 1985)
-        on integer polynomials in w reduced modulo m = ``poly``: each
-        reduction scales the whole t-polynomial by one lc(m)^k and strips its
+        on integer polynomials in w reduced modulo m: each reduction
+        pseudo-divides every coefficient of a t-polynomial by m with one k,
+        so the whole polynomial scales by one |lc m|^k, and strips its
         integer content.  A leading coefficient is zero exactly when
         ``is_root_of`` says so and is dropped before each step, so a step
         multiplies only by leading coefficients nonzero at a: no inverse is
@@ -837,18 +831,8 @@ class AlgebraicReal:
         m, dm = self.poly, len(self.poly) - 1
 
         def reduced(cs):
-            k = max(max(map(len, cs)) - dm, 0)
-            out = []
-            for c in cs:
-                c = [x * m[-1] ** (k - max(len(c) - dm, 0)) for x in c]
-                while len(c) > dm:
-                    top = c.pop()
-                    c = [m[-1] * x for x in c]
-                    for i in range(dm):
-                        c[len(c) - dm + i] -= top * m[i]
-                while c and not c[-1]:
-                    c.pop()
-                out.append(c)
+            k = max(map(len, cs)) - dm
+            out = [_pdiv(c, m, k)[1] for c in cs]
             content = gcd(*(x for c in out for x in c))
             out = [[x // content for x in c] for c in out] if content > 1 else out
             while out and (not out[-1] or self.is_root_of(UniPoly(out[-1]))):
@@ -867,7 +851,7 @@ class AlgebraicReal:
                 a = [_cross(b[-1], c, top, b[i - shift] if i >= shift else []) for i, c in enumerate(a)]
                 a = reduced(a) if a else a
             a, b = b, a
-        return len(a) - 1
+        return a
 
     def refine(self, eps) -> RationalInterval:
         """Nested isolating interval of width <= eps, kept per eps; it resumes

@@ -16,6 +16,7 @@ from kippenhahn.convexgeom import (
     ProjPoint,
     TANGENCY_EPS,
     _GRID,
+    _generator_sign,
     _horner,
     _polar_line_param,
     _round_out,
@@ -34,7 +35,7 @@ from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil, support_function
 from kippenhahn.mpoly import MultiPoly, parse_poly
-from kippenhahn.realroots import resultant
+from kippenhahn.realroots import resultant, sturm_isolate
 
 V3 = ("x0", "x1", "x2")
 
@@ -452,9 +453,9 @@ def _restriction(p, y):
     return g, gen
 
 
-def _contact_degree(p, y):
+def _contact_gcd(p, y):
     g, gen = _restriction(p, y)
-    return gen.gcd_degree(g.coefficients(1), g.diff(1).coefficients(1))
+    return gen.gcd(g.coefficients(1), g.diff(1).coefficients(1))
 
 
 def _random_form(rng, d):
@@ -464,8 +465,8 @@ def _random_form(rng, d):
 
 
 class TestContactDegree:
-    """``AlgebraicReal.gcd_degree`` on the restriction g of a curve to a
-    polar line, the double-root test of ``tangency_check``."""
+    """The degree of ``AlgebraicReal.gcd`` on the restriction g of a curve
+    to a polar line, the double-root test of ``tangency_check``."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -501,7 +502,7 @@ class TestContactDegree:
         if g.degree_in(1) <= 0:
             return
         gp = g.diff(1)
-        degree = gen.gcd_degree(g.coefficients(1), gp.coefficients(1))
+        degree = len(gen.gcd(g.coefficients(1), gp.coefficients(1))) - 1
         assert (degree > 0) == gen.is_root_of(resultant(g, gp, eliminate=1))
         a, t = sympy.sqrt(sympy.Rational(k, j)), sympy.symbols("t")
         field = sympy.QQ.algebraic_field(a)
@@ -515,19 +516,19 @@ class TestContactDegree:
         gen = AlgebraicReal((6, 0, -5, 0, 1), RationalInterval(1, Fraction(3, 2)))
         f = [UniPoly([0, 0, 1]), UniPoly([0, -2]), UniPoly([1]), UniPoly([-2, 0, 1])]
         fp = [UniPoly([0, -2]), UniPoly([2]), UniPoly([-6, 0, 3])]
-        assert gen.gcd_degree(f, fp) == 1
-        assert gen.gcd_degree(f[:-1], [UniPoly([1])]) == 0
+        assert len(gen.gcd(f, fp)) - 1 == 1
+        assert len(gen.gcd(f[:-1], [UniPoly([1])])) - 1 == 0
         # q w - p, p/q a convergent of sqrt 2, is -1.9e-11 at a, not zero:
         # the cubic keeps its lead and has no double root
         p, q = 26102926097, 18457556052
         g = f[:-1] + [UniPoly([-p, q])]
         gp = fp[:-1] + [UniPoly([-3 * p, 3 * q])]
-        assert gen.gcd_degree(g, gp) == 0
-        assert gen.gcd_degree([UniPoly([-2, 0, 1])], [UniPoly([])]) == -1
+        assert len(gen.gcd(g, gp)) - 1 == 0
+        assert gen.gcd([UniPoly([-2, 0, 1])], [UniPoly([])]) == []
         # the polar of (a : 1 : 1) touches x0^2 = x1^2 + x2^2 at (a : -1 : -1)
         conic = parse_poly("x0^2 - x1^2 - x2^2", V3)
         y = ProjPoint(gen, 1, 1)
-        assert _contact_degree(conic, y) == 1
+        assert len(_contact_gcd(conic, y)) - 1 == 1
         (w,) = tangency_check(conic, y)
         for z in (w.x1, w.x2):
             assert abs(z.to_complex() + 2**-0.5) < 1e-12
@@ -538,22 +539,66 @@ class TestContactDegree:
         # coefficients must be scaled with it
         gen = AlgebraicReal((-3, 0, 2), RationalInterval(0, 2))
         f = [UniPoly([0, 0, 1]), UniPoly([0, -2]), UniPoly([1])]
-        assert gen.gcd_degree(f, [UniPoly([0, -2]), UniPoly([2])]) == 1
-        assert gen.gcd_degree(f, [UniPoly([0, -1]), UniPoly([2])]) == 0
+        assert len(gen.gcd(f, [UniPoly([0, -2]), UniPoly([2])])) - 1 == 1
+        assert len(gen.gcd(f, [UniPoly([0, -1]), UniPoly([2])])) - 1 == 0
+        # the coefficients of (t - w)^3 need 2, 1, 0 and 0 reduction steps;
+        # all four must scale by lc(m)^2
+        cube = [UniPoly([0, 0, 0, -1]), UniPoly([0, 0, 3]), UniPoly([0, -3]), UniPoly([1])]
+        assert len(gen.gcd(cube, [UniPoly([0, 0, 3]), UniPoly([0, -6]), UniPoly([3])])) - 1 == 2
+        assert len(gen.gcd(cube, f)) - 1 == 2
 
     @pytest.mark.parametrize("s1, s2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_fermat_points(self, s1, s2):
+        # one witness per root of the contact gcd G, in disjoint boxes, each
+        # holding a common root of g and g'
         p = parse_poly("x0^6 - x1^6 - x2^6", V3)
         plus = omega()
         minus = AlgebraicReal(plus.poly, RationalInterval(-2, -1))
         y = ProjPoint(1, *(plus if s > 0 else minus for s in (s1, s2)))
-        assert _contact_degree(p, y) == 2 == len(tangency_check(p, y))
+        wits = tangency_check(p, y)
+        assert len(wits) == len(_contact_gcd(p, y)) - 1 == 2
+        a, b = (w.parameter for w in wits)
+        assert a.re.intersect(b.re) is None or a.im.intersect(b.im) is None
+        g, gen = _restriction(p, y)
+        w_iv = gen.refine(TANGENCY_EPS)
+        for h in (g, g.diff(1)):
+            coeffs = [ComplexInterval(c(w_iv)) for c in h.coefficients(1)]
+            for T in (a, b):
+                assert _horner(coeffs, T).contains_zero()
 
     def test_control_point(self):
         p = parse_poly("x0^6 - x1^6 - x2^6", V3)
         y = ProjPoint(1, Fraction(1, 3), omega())
-        assert _contact_degree(p, y) == 0
+        assert len(_contact_gcd(p, y)) - 1 == 0
         assert tangency_check(p, y) == []
+
+    def test_polar_line_inside_the_curve(self):
+        # the polar of (0 : 1 : 0) is {x1 = 0}, a component of the cubic
+        p = parse_poly("x0^2*x1 - x1^3 - x1*x2^2", V3)
+        with pytest.raises(ValueError, match="inside the curve"):
+            tangency_check(p, ProjPoint(0, 1, 0))
+
+
+class TestGeneratorSign:
+    """``_generator_sign`` decides exactly whether two roots of one
+    polynomial are equal or opposite."""
+
+    # (x^2 - 2)(N x^2 - 2N - 1), N = 10^31: roots +-sqrt 2 and
+    # +-sqrt(2 + 1/N), closer than TANGENCY_EPS
+    N = 10**31
+    ROOTS = sturm_isolate(UniPoly([4 * N + 2, 0, -(4 * N + 1), 0, N]))
+
+    def test_close_roots_are_distinct(self):
+        _, _, a, b = self.ROOTS
+        assert _generator_sign(a, b) == _generator_sign(b, a) == 0
+        assert _generator_sign(a, a) == 1
+        with pytest.raises(ValueError, match="at most one algebraic generator"):
+            tangency_check(parse_poly("x0^2 - x1^2 - x2^2", V3), ProjPoint(1, a, b))
+
+    def test_negation(self):
+        c, d, a, b = self.ROOTS
+        assert _generator_sign(d, a) == _generator_sign(c, b) == -1
+        assert _generator_sign(c, a) == _generator_sign(d, b) == 0
 
 
 _long = st.builds(

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kippenhahn.exactnum import (
+    _pdiv,
+    _primitive_ints,
     _sturm_chain,
     AlgebraicReal,
     ComplexInterval,
@@ -327,6 +329,15 @@ def _coprime(cs):
     return UniPoly([c // g for c in ints])
 
 
+def _div(f, g):
+    """(q, r) of f by g over Q, by sympy's ``div``."""
+    q, r = sympy.div(
+        sympy.Poly(list(reversed(f.coeffs)), _X, domain="QQ"),
+        sympy.Poly(list(reversed(g.coeffs)), _X, domain="QQ"),
+    )
+    return tuple(UniPoly([Fraction(str(c)) for c in reversed(h.all_coeffs())]) for h in (q, r))
+
+
 def _fraction_chain(f):
     """Sturm chain from remainders over Q: f, f', then -rem(prev, last), each
     scaled to coprime integers, divided by the last member when it is not
@@ -336,13 +347,45 @@ def _fraction_chain(f):
     if not d.is_zero:
         chain.append(_coprime(d.coeffs))
         while True:
-            r = chain[-2].divmod(chain[-1])[1]
+            r = _div(chain[-2], chain[-1])[1]
             if r.is_zero:
                 break
             chain.append(_coprime([-c for c in r.coeffs]))
     if chain[-1].degree > 0:
-        chain = [h.divmod(chain[-1])[0] for h in chain]
+        chain = [_div(h, chain[-1])[0] for h in chain]
     return chain
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+_ints = st.lists(st.integers(-40, 40), max_size=8)
+
+
+class TestPseudoDivision:
+    """``_pdiv``, the one integer pseudo-division."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ints, _ints.filter(lambda b: b and b[-1]), st.integers(-1, 3))
+    @example([1, 2, 0, 0], [3, -2], 0)
+    @example([5, 0, 1], [0, 0, 0, -3], 2)
+    def test_identity_and_sympy_prem(self, a, b, extra):
+        steps = max(len(a) - len(b) + 1, 0)
+        k = max(steps + extra, 0)
+        q, r = _pdiv(a, b, k)
+        lhs = [abs(b[-1]) ** max(k, steps) * c for c in a]
+        rhs = [x + y for x, y in itertools.zip_longest(_mul(q, b) if q else [], r, fillvalue=0)]
+        assert _trim(lhs) == _trim(rhs)
+        assert len(r) < len(b) and r == _trim(r)
+        # sympy's prem scales by lc(b)^(deg a - deg b + 1), sign included
+        prem = sympy.prem(_sympy_poly(a), _sympy_poly(b)).all_coeffs()
+        deg_a = len(_primitive_ints(a)) - 1
+        sign = (-1 if b[-1] < 0 else 1) ** max(deg_a - len(b) + 2, 0)
+        assert _primitive_ints(r) == [sign * c for c in _primitive_ints(list(reversed(prem)))]
 
 
 class TestSturmChain:
