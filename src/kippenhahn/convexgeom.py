@@ -43,7 +43,7 @@ from .groebner import (
     ResourceLimitError,
     dual_curve,
 )
-from .realroots import count_real_roots, real_singular_points
+from .realroots import PrecisionError, count_real_roots, real_singular_points
 
 __all__ = [
     "ProjPoint",
@@ -718,10 +718,11 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
     certifies each witness box to hold one root of G, so every witness is a
     proven contact point; at a double tangent G is squarefree and there is
     one witness per root of G.  Returns the witnesses in the chart x0 = 1,
-    none when deg G = 0 (the polar of y is not tangent).  A multiple root of
-    G (a contact of order three or more), which Newton cannot isolate, and a
-    contact at infinity give no witness.  Raises ``ValueError`` when the
-    polar line lies inside the curve.
+    none when deg G = 0 (the polar of y is not tangent).  A contact at
+    infinity gives no witness.  Raises ``PrecisionError`` when Newton
+    certifies fewer roots than deg G, as at a multiple root of G (a contact
+    of order three or more), and ``ValueError`` when the polar line lies
+    inside the curve.
     """
     if len(p.variables) != 3:
         raise ValueError("need a trivariate curve polynomial")
@@ -770,6 +771,8 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
                 boxes.append(_round_out(newton))
                 break
             rad = rad / 16
+    if len(boxes) < len(G) - 1:
+        raise PrecisionError(f"certified {len(boxes)} of the {len(G) - 1} contact roots")
 
     out = []
     for T in boxes:

@@ -37,7 +37,7 @@ __all__ = [
 
 
 class PrecisionError(RuntimeError):
-    """Root isolation found no point to split an interval at."""
+    """Exact isolation or certification could not finish."""
 
 
 class DegenerateSystemError(RuntimeError):
@@ -158,11 +158,11 @@ class SingularPoint:
     curve comes near (None at infinity and when undecided).  At a rational
     point it is proved from the Newton polygon of q moved there: True when
     no edge polynomial E(s, +-1) has a real root s != 0, False for one of
-    odd multiplicity or for a line through the point.  At any other point the
-    interval Hessian proves it: determinant > 0 is True (a strict extremum),
-    < 0 False (a node).  Otherwise exact samples of q on two rings of radius
-    about 1/64 may give False when the sign changes, the one heuristic
-    verdict; else it is None.
+    odd multiplicity or for a line through the point; a rational double line
+    of the tangent cone is first sheared onto an axis.  At any other point
+    the interval Hessian proves it: determinant > 0 is True (a strict
+    extremum), < 0 False (a node).  Every verdict is proved; where neither
+    test decides it is None.
     """
 
     y1: object  # Fraction or AlgebraicReal
@@ -292,7 +292,13 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
     polygon: at an odd-multiplicity root s != 0 of an edge polynomial
     E(s, +-1), f changes sign along u = s|v|^(wv/wu), a real branch (False);
     without real roots s != 0 no real curve reaches (0, 0) off the axes, by
-    the curve selection lemma (True); even multiplicities leave None."""
+    the curve selection lemma (True).  A rational root s of even
+    multiplicity on the tangent cone's edge (slope -1) is the double line
+    u = +-s*v; when that edge is the first, the shear u -> u +- s*v moves the
+    line onto the v-axis, and the sheared polygon gives the verdict, since a
+    linear change of coordinates keeps the germ.  The sheared cone has u^2 as
+    a factor, so its edge is not the first and no second shear follows.
+    Other even multiplicities leave None."""
     a = min((i for i, j in f.terms if j == 0), default=None)
     b = min((j for i, j in f.terms if i == 0), default=None)
     if a is None or b is None:
@@ -307,6 +313,7 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
             key=lambda e: (Fraction(e[1] - j0, e[0] - i0), -e[0]),
         )
         edge = [e for e in pts if (j0 - j1) * (e[0] - i0) + (i1 - i0) * (e[1] - j0) == 0]
+        first_cone_edge = i0 == 0 and j0 - j1 == i1 - i0
         for sign in (1, -1):
             coeffs = [0] * (i1 - i0 + 1)
             for i, j in edge:
@@ -318,49 +325,25 @@ def _newton_polygon_verdict(f: MultiPoly) -> bool | None:
                 iv = root.interval
                 if (g.sign_at(iv.lo) > 0) != (g.sign_at(iv.hi) > 0):
                     return False
+                s = _rationalize_root(root) if first_cone_edge else None
+                if isinstance(s, Fraction):
+                    # a root s of E(s, sign) is the line u = sign*s*v
+                    u, v = (MultiPoly.variable(f.variables, k) for k in range(2))
+                    return _newton_polygon_verdict(f.evaluate((u + v * (sign * s), v)))
                 verdict = None
         i0, j0 = i1, j1
     return verdict
-
-
-def _ring_sampling(q_aff: MultiPoly, c1, c2) -> bool | None:
-    """False when exact signs of q sampled on two square rings around the
-    point change or vanish, else None.  A heuristic: a sign change at
-    distance delta need not come from a branch through the point."""
-    delta = Fraction(1, 64)
-    # a coarse center keeps the sample denominators small
-    m1 = _coord_interval(c1, COORD_EPS).mid.limit_denominator(2**32)
-    m2 = _coord_interval(c2, COORD_EPS).mid.limit_denominator(2**32)
-    sign_seen = 0
-    for k in range(-8, 9):
-        off = delta * Fraction(k, 8)
-        for s1, s2 in (
-            (off, -delta), (off, delta), (-delta, off), (delta, off),
-            (off, -3 * delta / 4), (off, 3 * delta / 4),
-            (-3 * delta / 4, off), (3 * delta / 4, off),
-        ):
-            v = q_aff.evaluate((m1 + s1, m2 + s2))
-            if v:
-                s = 1 if v > 0 else -1
-                if sign_seen and s != sign_seen:
-                    return False
-                sign_seen = s
-            else:
-                return False  # exact curve point on the ring
-    return None
 
 
 def _certify_isolated(q_aff: MultiPoly, hessian, c1, c2) -> bool | None:
     """``SingularPoint.isolated`` at (c1, c2); ``hessian`` holds the second
     partials (q11, q12, q22).  The Hessian test rests on the Morse lemma."""
     if isinstance(c1, Fraction) and isinstance(c2, Fraction):
-        verdict = _newton_polygon_verdict(q_aff.shifted((c1, c2)))
-    else:
-        box = (_coord_interval(c1, COORD_EPS), _coord_interval(c2, COORD_EPS))
-        h11, h12, h22 = (h.evaluate(box) for h in hessian)
-        # an interval: constant entries mean a conic, whose singular points are rational
-        verdict = {1: True, -1: False, 0: None}[(h11 * h22 - h12 * h12).sign()]
-    return _ring_sampling(q_aff, c1, c2) if verdict is None else verdict
+        return _newton_polygon_verdict(q_aff.shifted((c1, c2)))
+    box = (_coord_interval(c1, COORD_EPS), _coord_interval(c2, COORD_EPS))
+    h11, h12, h22 = (h.evaluate(box) for h in hessian)
+    # an interval: constant entries mean a conic, whose singular points are rational
+    return {1: True, -1: False, 0: None}[(h11 * h22 - h12 * h12).sign()]
 
 
 def _multiplicity_hint(hessian, c1, c2) -> int:
@@ -377,8 +360,6 @@ def _affine_singular_points(q: MultiPoly) -> list[SingularPoint]:
     A = q_aff.diff(0)
     B = q_aff.diff(1)
     system = [q_aff, A, B]
-    if A.is_zero and B.is_zero:
-        raise DegenerateSystemError("curve gradient vanishes identically")
 
     # points on the axes y2 = 0 and y1 = 0 are exact common roots; only the
     # origin lies on both, and it is taken from the first
@@ -445,8 +426,8 @@ def real_singular_points(q: MultiPoly) -> list[SingularPoint]:
 
     Affine-chart points carry an interval or exact-rational coordinate pair
     and an ``isolated`` verdict, proved by the Newton polygon (rational
-    points) or the interval Hessian (others), or refuted by the ring-sampling
-    heuristic, or None (see ``SingularPoint``).  Points on the coordinate
+    points) or the interval Hessian (others), or None (see
+    ``SingularPoint``).  Points on the coordinate
     axes are exact common roots on the axis; points off them pair candidate
     coordinates from resultants, must straddle zero on the coarse boxes of
     widths ``COARSE_EPS``, and then pass ``_verify_box`` on their

@@ -213,6 +213,15 @@ class TestSingular:
         out = capsys.readouterr().out
         assert not [l for l in out.splitlines() if l.startswith("affine")]
 
+    def test_line_at_infinity(self, tmp_path, capsys):
+        # the chart polynomial of y0 is constant: a line has no singular points
+        f = tmp_path / "line.poly"
+        f.write_text("y0\n")
+        assert main(["singular", "--input", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == []
+        assert captured.err == "(no real singular points)\n"
+
 
 class TestVerify:
     def test_degenerate_point_range(self, tmp_path, capsys):
@@ -351,6 +360,28 @@ class TestPlot:
         csv1 = (out1 / "parabola_kippenhahn.csv").read_bytes()
         csv2 = (out2 / "parabola_kippenhahn.csv").read_bytes()
         assert csv1 == csv2
+
+    @pytest.mark.parametrize(
+        "preset, panel, markers, tangents",
+        [
+            # the three cusps of the eq3 dual, marked whether isolated or not
+            (None, "dual-curve", 3, 0),
+            # no pencil: the four isolated Fermat points and their polars
+            ("fermat6", "kippenhahn", 4, 4),
+        ],
+    )
+    def test_singular_point_markers(self, eq3_file, tmp_path, preset, panel, markers, tangents):
+        source = ["--preset", preset] if preset else ["--input", str(eq3_file)]
+        svgs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["plot", *source, "--panel", panel, "--out-dir", str(out)]) == 0
+            (path,) = out.glob("*.svg")
+            svgs.append(path.read_bytes())
+        assert svgs[0] == svgs[1]
+        root = ET.fromstring(svgs[0].decode())  # well-formed XML
+        shapes = [e.attrib for e in root]
+        assert sum(a.get("stroke") == "red" for a in shapes) == markers
+        assert sum(a.get("stroke") == "#2b6cb0" for a in shapes) == tangents
 
     @pytest.mark.parametrize("panel", ["dual-curve", "kippenhahn"])
     def test_curve_not_squarefree_exit_2(self, tmp_path, capsys, panel):

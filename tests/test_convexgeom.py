@@ -35,7 +35,7 @@ from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval
 from kippenhahn.groebner import dual_curve
 from kippenhahn.matrixpencil import HermitianMatrix, HermitianPencil, support_function
 from kippenhahn.mpoly import MultiPoly, parse_poly
-from kippenhahn.realroots import resultant, sturm_isolate
+from kippenhahn.realroots import PrecisionError, resultant, sturm_isolate
 
 V3 = ("x0", "x1", "x2")
 
@@ -571,6 +571,15 @@ class TestContactDegree:
         y = ProjPoint(1, Fraction(1, 3), omega())
         assert len(_contact_gcd(p, y)) - 1 == 0
         assert tangency_check(p, y) == []
+
+    def test_flex_raises(self):
+        # the polar of (0 : 0 : 1) is {x2 = 0}, the inflectional tangent at
+        # (1 : 0 : 0): G = t^2 has a double root, which Newton cannot
+        # isolate, so the check raises instead of reading "not tangent"
+        p = parse_poly("x2*x0^2 - x1^3", V3)
+        assert len(_contact_gcd(p, ProjPoint(0, 0, 1))) - 1 == 2
+        with pytest.raises(PrecisionError, match="certified 0 of the 2 contact roots"):
+            tangency_check(p, ProjPoint(0, 0, 1))
 
     def test_polar_line_inside_the_curve(self):
         # the polar of (0 : 1 : 0) is {x1 = 0}, a component of the cubic

@@ -279,7 +279,10 @@ class TestSingularPoints:
         q = dual_curve(p)
         pts = [s for s in real_singular_points(q) if s.chart == "affine"]
         assert len(pts) == 3
-        assert all(not s.isolated for s in pts)
+        # rational cusps, two with an oblique tangent: proved by the shear
+        cusps = [(s.y1, s.y2) for s in pts]
+        assert cusps == [(-1, Fraction(-3, 4)), (0, Fraction(3, 4)), (1, Fraction(-3, 4))]
+        assert all(s.isolated is False for s in pts)
         coords = sorted(s.float_coords() for s in pts)
         # the curve is symmetric in y1 -> -y1: one cusp on the axis, two mirrored
         on_axis = [c for c in coords if abs(c[0]) < 1e-9]
@@ -494,8 +497,9 @@ SQRT2 = round(2**0.5, 9)
 
 class TestIsolation:
     """One known verdict per route of the isolation test: the Newton polygon
-    at a rational point, the interval Hessian at an algebraic one, and a case
-    that neither decides."""
+    at a rational point, with and without a shear along a double line of the
+    tangent cone, the interval Hessian at an algebraic one, and cases that
+    none of them decides."""
 
     @pytest.mark.parametrize(
         "q, expected",
@@ -521,6 +525,25 @@ class TestIsolation:
                 yq("y0^6*y2^2") + yq("y1^2 - 2*y0^2") ** 4,
                 [(-SQRT2, 0, None), (SQRT2, 0, None)],
             ),
+            # the A7 acnodes next to a circle of radius 1e-3 about (1.43, 0):
+            # q > 0 on a punctured disc of radius 0.0148 about (sqrt 2, 0),
+            # yet a sample 1/64 away lies inside the circle
+            (
+                (yq("y0^6*y2^2") + yq("y1^2 - 2*y0^2") ** 4)
+                * (yq("y1 - 143/100*y0") ** 2 + yq("y2^2") - yq("y0^2") * Fraction(1, 10**6)),
+                [(-SQRT2, 0, None), (SQRT2, 0, None)],
+            ),
+            # a double line y2 = y1 in the tangent cone, sheared onto the axis
+            (yq("y2 - y1") ** 2 * yq("y0^2") + yq("y1^4"), [(0, 0, True)]),
+            (yq("y2 - y1") ** 2 * yq("y0") + yq("y1^3"), [(0, 0, False)]),  # cusp
+            (yq("y2 - y1") ** 2 * yq("y0^2") - yq("y1^4"), [(0, 0, False)]),  # tacnode
+            # an even root on a steeper edge: no shear
+            (yq("y0") * yq("y0*y2 - y1^2") ** 2 + yq("y1^5"), [(0, 0, None)]),
+            (yq("y0^2") * yq("y0*y2 - y1^2") ** 2 + yq("y1^6"), [(0, 0, None)]),
+            # the cone y1^2 (y1 - y2)^2 has its double line y2 = y1 on an
+            # edge that is not the first; shearing it would move the y1^2
+            # factor onto the cone edge, and the next shear back
+            (yq("y0^2*y1^2") * yq("y1 - y2") ** 2 + yq("y1^6 + y2^6"), [(0, 0, None)]),
         ],
     )
     def test_known_verdicts(self, q, expected):
