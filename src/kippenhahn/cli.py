@@ -21,11 +21,7 @@ from .exactnum import ParseError
 from .groebner import NonPrincipalIdealError, ResourceLimitError, dual_curve
 from .matrixpencil import parse_pencil_text, pencil_det
 from .mpoly import MultiPoly, parse_poly
-from .realroots import (
-    DegenerateSystemError,
-    PrecisionError,
-    real_singular_points,
-)
+from .realroots import PrecisionError, real_singular_points
 from .convexgeom import (
     PencilBody,
     VerifyConfig,
@@ -188,7 +184,7 @@ def cmd_singular(args) -> int:
         p = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
     try:
         pts = real_singular_points(p)
-    except ValueError as exc:  # the zero polynomial, or one not squarefree
+    except ValueError as exc:  # zero, not homogeneous, or not squarefree
         print(f"invalid curve: {exc}", file=sys.stderr)
         return 2
     print(f"{'chart':9s} {'y1':>34s} {'y2':>34s} {'isolated':9s} {'mult>=':6s}")
@@ -362,7 +358,7 @@ def main(argv=None) -> int:
     except NonPrincipalIdealError as exc:
         print(f"non-principal elimination ideal: {exc}", file=sys.stderr)
         return 4
-    except (PrecisionError, DegenerateSystemError) as exc:
+    except PrecisionError as exc:
         print(f"precision exhaustion: {exc}", file=sys.stderr)
         return 5
 

@@ -43,7 +43,7 @@ from .groebner import (
     ResourceLimitError,
     dual_curve,
 )
-from .realroots import PrecisionError, count_real_roots, real_singular_points
+from .realroots import PrecisionError, _form_degree, count_real_roots, real_singular_points
 
 __all__ = [
     "ProjPoint",
@@ -722,10 +722,9 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
     infinity gives no witness.  Raises ``PrecisionError`` when Newton
     certifies fewer roots than deg G, as at a multiple root of G (a contact
     of order three or more), and ``ValueError`` when the polar line lies
-    inside the curve.
+    inside the curve or p is not a nonzero form in three variables.
     """
-    if len(p.variables) != 3:
-        raise ValueError("need a trivariate curve polynomial")
+    _form_degree(p)
     Pp, Qq, gen, w_iv = _polar_line_param(y.coords, TANGENCY_EPS)
     wt = ("w", "t")
     t = MultiPoly.variable(wt, 1)

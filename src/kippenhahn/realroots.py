@@ -28,7 +28,6 @@ __all__ = [
     "UniPoly",
     "SingularPoint",
     "PrecisionError",
-    "DegenerateSystemError",
     "sturm_isolate",
     "count_real_roots",
     "resultant",
@@ -38,10 +37,6 @@ __all__ = [
 
 class PrecisionError(RuntimeError):
     """Exact isolation or certification could not finish."""
-
-
-class DegenerateSystemError(RuntimeError):
-    """The polynomial system has a shared component (not zero-dimensional)."""
 
 
 # width to which the census refines irrational singular-point coordinates
@@ -207,7 +202,8 @@ def _poly_gcd_many(polys: list[UniPoly]) -> UniPoly:
             continue
         g = p.primitive() if g is None else g.gcd(p)
     if g is None:
-        raise DegenerateSystemError("all polynomials vanish identically")
+        # the axis and infinity exits: q has a repeated factor (real_singular_points)
+        raise ValueError("polynomial must be squarefree")
     return g
 
 
@@ -249,16 +245,13 @@ def _candidate_coordinates(polys, strides, var: int):
         if not r.is_zero:
             res = r
             break
-    if res is None and all(p.degree_in(1 - var) <= 0 for p in polys):
+    if res is None:
+        if any(p.degree_in(1 - var) > 0 for p in polys):
+            # the projection exit: q has a repeated factor (real_singular_points)
+            raise ValueError("polynomial must be squarefree")
         # no equation involves the eliminated variable: the common zeros lie
         # above the roots of their gcd
         res = _poly_gcd_many([p.coefficients(1 - var)[0] for p in polys])
-        if res.degree <= 0:
-            return []
-    if res is None:
-        raise DegenerateSystemError(
-            "no projection resultant is nonzero; system shares a component"
-        )
     # undo the exponent compression: roots in the original coordinate
     expanded = res.squarefree_part().compose_power(strides[var])
     return sturm_isolate(expanded)
@@ -410,10 +403,7 @@ def _infinity_singular_points(q: MultiPoly) -> list[SingularPoint]:
     """Real singular points on the line y0 = 0, examined chart by chart."""
     grads = q.gradient()
     # points (0 : 1 : t)
-    polys = [_chart_poly(g, 1).coefficients(0)[0] for g in grads]
-    if all(p.is_zero for p in polys):
-        raise DegenerateSystemError("gradient vanishes on the line at infinity")
-    roots = _common_line_roots(polys)
+    roots = _common_line_roots([_chart_poly(g, 1).coefficients(0)[0] for g in grads])
     out = [SingularPoint(Fraction(1), t, "infinity", 2, None) for t in roots]
     # the remaining point (0 : 0 : 1)
     if all(gr.evaluate((Fraction(0), Fraction(0), Fraction(1))) == 0 for gr in grads):
@@ -421,26 +411,40 @@ def _infinity_singular_points(q: MultiPoly) -> list[SingularPoint]:
     return out
 
 
-def real_singular_points(q: MultiPoly) -> list[SingularPoint]:
-    """All real singular points of the projective curve {q = 0}.
-
-    Affine-chart points carry an interval or exact-rational coordinate pair
-    and an ``isolated`` verdict, proved by the Newton polygon (rational
-    points) or the interval Hessian (others), or None (see
-    ``SingularPoint``).  Points on the coordinate
-    axes are exact common roots on the axis; points off them pair candidate
-    coordinates from resultants, must straddle zero on the coarse boxes of
-    widths ``COARSE_EPS``, and then pass ``_verify_box`` on their
-    rationalized coordinates, an interval filter that does not prove
-    existence.  Points on the line at infinity are reported separately with
-    chart "infinity".  Requires squarefree q.
-    """
+def _form_degree(q: MultiPoly) -> int:
+    """The degree of q, which must be a nonzero form in three variables."""
     if len(q.variables) != 3:
         raise ValueError("expected a polynomial in three homogeneous variables")
-    if q.is_zero:
-        raise ValueError("zero polynomial")
-    if not q.squarefree_part().proportional_to(q):
-        raise ValueError("polynomial must be squarefree")
-    pts = _affine_singular_points(q)
-    pts += _infinity_singular_points(q)
-    return pts
+    deg = q.homogeneous_degree()  # raises ValueError for the zero polynomial
+    if deg is None:
+        raise ValueError("polynomial must be homogeneous")
+    return deg
+
+
+def real_singular_points(q: MultiPoly) -> list[SingularPoint]:
+    """All real singular points of the projective curve {q = 0}, q a nonzero
+    squarefree form in three variables (else ``ValueError``): affine points,
+    then those on the line at infinity (chart "infinity"), examined first.
+    Points on the coordinate axes are exact common roots on the axis; points
+    off them pair candidate coordinates from resultants, must straddle zero
+    on the coarse boxes of widths ``COARSE_EPS``, and then pass
+    ``_verify_box`` on their rationalized coordinates, an interval filter
+    that does not prove existence.
+
+    The census's own exits reject a repeated factor h of q.  With q_aff =
+    q(1, u, v): h = y0 makes every partial vanish on y0 = 0 (the infinity
+    exit); h = y1 or y2 makes q_aff, q_u and q_v vanish on that axis (the
+    axis exit); any other h survives monomial stripping and exponent
+    compression with positive degree in some w, so every resultant
+    eliminating w vanishes (the projection exit).  None fires for
+    squarefree q: q_aff = v*r has q_v = r mod v, so the axis exit needs
+    v^2 | q_aff; by Euler's identity the infinity exit needs y0 | q and so
+    y0^2 | q; an irreducible g of positive v-degree dividing q_aff and q_v
+    divides (dg/dv)*(q_aff/g) but not q_aff/g, so dg/dv = 0: Res_v of
+    equations 0 and 2 is nonzero when the loop tries that pair, and when it
+    skips it no equation involves v and the gcd branch runs (u: pair 0, 1).
+    """
+    if _form_degree(q) == 0:
+        return []  # a nonzero constant: the curve is empty
+    at_infinity = _infinity_singular_points(q)
+    return _affine_singular_points(q) + at_infinity

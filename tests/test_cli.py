@@ -206,6 +206,14 @@ class TestSingular:
         assert captured.out == ""
         assert captured.err == "invalid curve: polynomial must be squarefree\n"
 
+    def test_inhomogeneous_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "cusp.poly"
+        f.write_text("x1^2 + x2^3\n")
+        assert main(["singular", "--input", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid curve: polynomial must be homogeneous\n"
+
     def test_smooth_conic_empty(self, tmp_path, capsys):
         f = tmp_path / "conic.poly"
         f.write_text("y0^2 - y1^2 - y2^2\n")

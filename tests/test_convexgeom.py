@@ -397,6 +397,12 @@ class TestTangency:
         assert tangency_check(conic, ProjPoint(1, 2, 0)) == []
         assert tangency_check(conic, ProjPoint(1, Fraction(1, 3), Fraction(1, 7))) == []
 
+    def test_rejects_an_inhomogeneous_polynomial(self):
+        # the parabola x2 = x0^2 - x1^2 is no projective curve
+        p = parse_poly("x0^2 - x1^2 - x2", V3)
+        with pytest.raises(ValueError, match="^polynomial must be homogeneous$"):
+            tangency_check(p, ProjPoint(1, 1, 0))
+
     def test_fermat_conjugate_pair(self):
         p = parse_poly("x0^6 - x1^6 - x2^6", V3)
         w = omega()

@@ -5,7 +5,9 @@ exit code with ``tests/golden/<case>.json``: `charpoly`, `dual` and
 `singular` on the eq3 pencil and on the seed-13 pencil of
 ``conftest.make_random_pencil``; `singular` on the dual curves of those two
 pencils, written as ``<name>-dual.poly`` (the determinant cubics have no
-singular points, their duals have three cusps each); `charpoly` alone on
+singular points, their duals have three cusps each); `singular` on three
+hand-written curves it rejects, one with a y0^2 factor, a line times a
+squared conic, and the inhomogeneous cusp x1^2 + x2^3; `charpoly` alone on
 its seed-7 pencil of size 7 (`dual` or `singular` there would be slow) and
 on the hand-written
 ``amatrix.pencil``, whose A section ``HermitianPencil.from_matrix`` splits;
@@ -48,6 +50,12 @@ CASES.update(
     {
         f"singular-{name}-dual": ["singular", "--input", str(GOLDEN / f"{name}-dual.poly")]
         for name in INPUTS
+    }
+)
+CASES.update(
+    {
+        f"singular-{name}": ["singular", "--input", str(GOLDEN / f"{name}.poly")]
+        for name in ("y0-squared", "line-times-squared-conic", "inhomogeneous-cusp")
     }
 )
 CASES.update(

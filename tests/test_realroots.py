@@ -1,4 +1,5 @@
 import random
+import traceback
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -271,6 +272,14 @@ class TestSingularPoints:
         with pytest.raises(ValueError):
             real_singular_points(f * f)
 
+    def test_rejects_an_inhomogeneous_polynomial(self):
+        # the affine cusp y1^2 + y2^3 is no projective curve
+        with pytest.raises(ValueError, match="^polynomial must be homogeneous$"):
+            real_singular_points(parse_poly("y1^2 + y2^3", VY))
+
+    def test_nonzero_constant_has_no_singular_points(self):
+        assert real_singular_points(parse_poly("3", VY)) == []
+
     def test_three_cusps_of_sextic_dual(self):
         p = parse_poly(
             "x0^3 - 3/4*x2*x0^2 - 2*x1^2*x0 - 21/16*x2^2*x0 + 55/64*x2^3 - 3/2*x1^2*x2",
@@ -423,6 +432,88 @@ _int_factor = st.one_of(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda bc: [bc[1], bc[0], 1]),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda ab: [-ab[1], -ab[0], 0, 1]),
 )
+
+
+_coef = st.integers(-2, 2)
+_line = st.tuples(_coef, _coef, _coef).filter(any).map(
+    lambda a: yq("y0") * a[0] + yq("y1") * a[1] + yq("y2") * a[2]
+)
+_quadrics = ("y0^2", "y1^2", "y2^2", "y0*y1", "y0*y2", "y1*y2")
+_conic = st.lists(_coef, min_size=6, max_size=6).filter(any).map(
+    lambda c: sum((yq(m) * k for m, k in zip(_quadrics, c)), yq("0"))
+)
+
+
+def _cubic(cusp, a, b):
+    # y0 v^2 = u^3 (+ y0 u^2, a node) with u = y1 - a y0, v = y2 - b y0
+    u, v = yq("y1") - yq("y0") * a, yq("y2") - yq("y0") * b
+    return yq("y0") * v * v - u**3 - (0 if cusp else yq("y0") * u * u)
+
+
+class TestSquarefreeDecision:
+    """The census rejects q exactly when q has a repeated factor, from its
+    own axis, projection and infinity exits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(_line, _conic, st.builds(_cubic, st.booleans(), _coef, _coef)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(
+            st.none(),
+            st.sampled_from(["y0", "y1", "y2"]).map(lambda n: yq(n) ** 2),
+            _line.map(lambda h: h**2),
+            _line.map(lambda h: h**3),
+            _conic.map(lambda h: h**2),
+        ),
+    )
+    def test_raises_exactly_on_a_repeated_factor(self, factors, planted):
+        # forms of degree <= 4: a factor that would pass it is left out
+        q = planted or yq("1")
+        for f in factors:
+            if q.total_degree + f.total_degree <= 4:
+                q = q * f
+        if q.squarefree_part().proportional_to(q):
+            assert planted is None
+            real_singular_points(q)
+        else:
+            with pytest.raises(ValueError, match="^polynomial must be squarefree$"):
+                real_singular_points(q)
+
+    @pytest.mark.parametrize(
+        "text, exit",
+        [
+            # y1^2 | q: q_aff and both partials vanish on the axis y1 = 0
+            ("y0*y1^2 + y1^2*y2", "axis"),
+            # a squared line off the axes divides every equation, so every
+            # resultant vanishes
+            ("y0^2 + y1^2 + y2^2 + 2*y0*y1 + 2*y0*y2 + 2*y1*y2", "projection"),
+            # y0^2 | q: every partial vanishes on the line at infinity
+            ("y0^2*y1 + y0^2*y2", "infinity"),
+        ],
+    )
+    def test_each_exit_rejects_its_repeated_factor(self, text, exit):
+        with pytest.raises(ValueError, match="^polynomial must be squarefree$") as info:
+            real_singular_points(yq(text))
+        frames = {f.name for f in traceback.extract_tb(info.tb)}
+        if "_infinity_singular_points" in frames:
+            assert exit == "infinity"
+        elif "_candidate_coordinates" in frames:
+            assert exit == "projection"
+        else:
+            assert exit == "axis" and "_common_line_roots" in frames
+
+    def test_first_tried_resultant_may_vanish(self):
+        # two parallel lines, (y1 + y2)^2 = y0^2, have q_u = q_v: the first
+        # pair's resultant vanishes, the next pair's does not, and the lines
+        # meet only at infinity
+        q = yq("y1^2 + 2*y1*y2 + y2^2 - y0^2")
+        q_aff = realroots._chart_poly(q, 0)
+        assert resultant(q_aff.diff(0), q_aff.diff(1), eliminate=1).is_zero
+        pts = real_singular_points(q)
+        assert [(s.chart, s.y1, s.y2) for s in pts] == [("infinity", 1, -1)]
 
 
 class TestCoarseBoxes:
