@@ -91,10 +91,12 @@ def _build_config(args) -> tuple[VerifyConfig, str]:
     return cfg, out_dir
 
 
-def _read_input(path: str) -> str:
-    p = Path(path)
+def _read_input(args) -> str:
+    if not args.input:
+        raise ParseError("need --input FILE or --preset NAME")
+    p = Path(args.input)
     if not p.is_file():
-        raise ParseError(f"input file not found: {path}")
+        raise ParseError(f"input file not found: {args.input}")
     return p.read_text()
 
 
@@ -122,9 +124,7 @@ def _load_curve_poly(args) -> MultiPoly:
     """Polynomial from --input (polynomial or matrix file) or --preset."""
     if getattr(args, "preset", None):
         return _load_body(args).curve_poly
-    if not args.input:
-        raise ParseError("need --input FILE or --preset NAME")
-    text = _read_input(args.input)
+    text = _read_input(args)
     if _looks_like_pencil(text):
         return pencil_det(parse_pencil_text(text))
     return parse_poly(text, _infer_variables(text))
@@ -135,9 +135,7 @@ def _load_body(args):
         if args.preset != "fermat6":
             raise ParseError(f"unknown preset {args.preset!r}")
         return fermat6_body()
-    if not args.input:
-        raise ParseError("need --input FILE or --preset NAME")
-    text = _read_input(args.input)
+    text = _read_input(args)
     if not _looks_like_pencil(text):
         raise ParseError("verify expects a matrix pencil file or a preset")
     name = Path(args.input).stem
@@ -148,7 +146,7 @@ def _load_body(args):
 
 
 def cmd_charpoly(args) -> int:
-    text = _read_input(args.input)
+    text = _read_input(args)
     pencil = parse_pencil_text(text)
     p = pencil_det(pencil)
     print(p)
@@ -157,12 +155,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_dual(args) -> int:
     cfg, _ = _build_config(args)
-    p = _load_curve_poly(args)
-    try:
-        q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
-    except ValueError as exc:  # degree below 2, or not squarefree
-        print(f"invalid curve: {exc}", file=sys.stderr)
-        return 2
+    q = dual_curve(_load_curve_poly(args), max_terms=cfg.max_terms, max_bits=cfg.max_bits)
     print(q)
     print(f"degree {q.total_degree}, {q.num_terms()} terms", file=sys.stderr)
     return 0
@@ -182,11 +175,7 @@ def cmd_singular(args) -> int:
         # singular census is the dual curve
         cfg, _ = _build_config(args)
         p = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
-    try:
-        pts = real_singular_points(p)
-    except ValueError as exc:  # zero, not homogeneous, or not squarefree
-        print(f"invalid curve: {exc}", file=sys.stderr)
-        return 2
+    pts = real_singular_points(p)
     print(f"{'chart':9s} {'y1':>34s} {'y2':>34s} {'isolated':9s} {'mult>=':6s}")
     for s in pts:
         iso = "-" if s.isolated is None else ("yes" if s.isolated else "no")
@@ -219,11 +208,7 @@ def cmd_plot(args) -> int:
     stem = args.preset or Path(args.input).stem
     p = body.curve_poly
     if panel in ("dual-curve", "kippenhahn"):
-        try:
-            q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
-        except ValueError as exc:  # degree below 2, or not squarefree
-            print(f"invalid curve: {exc}", file=sys.stderr)
-            return 2
+        q = dual_curve(p, max_terms=cfg.max_terms, max_bits=cfg.max_bits)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -351,6 +336,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a curve the exact layers reject
+        print(f"invalid curve: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

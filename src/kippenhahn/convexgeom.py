@@ -26,7 +26,7 @@ from .exactnum import (
     _over_common_den,
     sturm_count,
 )
-from .mpoly import MultiPoly, parse_poly
+from .mpoly import MultiPoly, _evaluate_rational, _form_degree, parse_poly
 from .matrixpencil import (
     HermitianPencil,
     _direction_stack,
@@ -43,7 +43,7 @@ from .groebner import (
     ResourceLimitError,
     dual_curve,
 )
-from .realroots import PrecisionError, _form_degree, count_real_roots, real_singular_points
+from .realroots import PrecisionError, count_real_roots, real_singular_points
 
 __all__ = [
     "ProjPoint",
@@ -467,13 +467,12 @@ def line_curve_real_check(body, e, direction) -> LineRealResult:
 
 @dataclass
 class PointCloud:
-    """Finite planar point set with its generation metadata; ``points`` is
-    held as one (N, 2) float64 array."""
+    """Finite planar point set with the direction and eigenvector branch of
+    each point; ``points`` is held as one (N, 2) float64 array."""
 
     points: np.ndarray
     thetas: list = field(default_factory=list)
     branches: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, float).reshape(-1, 2)
@@ -505,7 +504,6 @@ def sample_kippenhahn_curve(P: HermitianPencil, m: int) -> PointCloud:
         images.reshape(-1, 2),
         np.repeat(thetas, n),
         np.tile(np.arange(n), m),
-        meta={"m": m, "n": n},
     )
 
 
@@ -533,9 +531,10 @@ def convex_hull(points) -> list:
 
 
 def hausdorff(cloud_a, cloud_b) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-    A = np.asarray(_points_of(cloud_a), dtype=float)
-    B = np.asarray(_points_of(cloud_b), dtype=float)
+    """Symmetric Hausdorff distance between two finite point sets, each an
+    (N, 2) array or a list of (x, y) pairs."""
+    A = np.asarray(cloud_a, dtype=float)
+    B = np.asarray(cloud_b, dtype=float)
     if A.size == 0 or B.size == 0:
         raise ValueError("empty point set")
 
@@ -551,10 +550,14 @@ def hausdorff(cloud_a, cloud_b) -> float:
     return max(directed(A, B), directed(B, A))
 
 
-def _points_of(cloud):
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return list(cloud)
+def _affine_values(terms, X, Y) -> np.ndarray:
+    """p(1, X, Y) at the float arrays X and Y: the sum of c X^e1 Y^e2 over
+    the (exponent, coefficient) pairs ``terms``, added in their given order,
+    which fixes the rounding."""
+    Z = np.zeros_like(X)
+    for exp, c in terms:
+        Z += float(c) * X ** exp[1] * Y ** exp[2]
+    return Z
 
 
 # --- tangency certification -----------------------------------------------------
@@ -643,8 +646,9 @@ def _coords_as_wpolys(coords):
 
 
 def _enclose(f: UniPoly, iv: RationalInterval) -> RationalInterval:
-    """Interval Horner value of f over iv (a point interval for constants)."""
-    v = f(iv)
+    """Enclosure of f over iv by the census's interval evaluator
+    ``_evaluate_rational`` (a point interval when deg f < 1)."""
+    v = _evaluate_rational({(i,): c for i, c in enumerate(f.coeffs)}, (iv,))
     return v if isinstance(v, RationalInterval) else RationalInterval.point(v)
 
 
@@ -722,9 +726,11 @@ def tangency_check(p: MultiPoly, y: ProjPoint):
     infinity gives no witness.  Raises ``PrecisionError`` when Newton
     certifies fewer roots than deg G, as at a multiple root of G (a contact
     of order three or more), and ``ValueError`` when the polar line lies
-    inside the curve or p is not a nonzero form in three variables.
+    inside the curve or p is not a nonzero form in three variables.  A
+    nonzero constant p has an empty curve and no witnesses.
     """
-    _form_degree(p)
+    if _form_degree(p) == 0:
+        return []
     Pp, Qq, gen, w_iv = _polar_line_param(y.coords, TANGENCY_EPS)
     wt = ("w", "t")
     t = MultiPoly.variable(wt, 1)
@@ -1058,9 +1064,7 @@ def run_verification(body, config: VerifyConfig | None = None) -> VerificationRe
         if q is not None:
             qn = q.normalized()
             norm1 = sum(abs(c) for c in qn.terms.values())
-            worst = max(
-                abs(qn.evaluate((1.0, y1, y2))) for y1, y2 in cloud.points.tolist()
-            )
+            worst = np.abs(_affine_values(qn.sorted_terms(), *cloud.points.T)).max()
             rel = worst / float(norm1)
             status = "pass" if rel <= 1e-6 else "fail"
             report.add(

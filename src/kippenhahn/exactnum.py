@@ -19,9 +19,11 @@ polynomial.
 
 A ``GaussianRational`` is parsed, printed and read by its parts ``re`` and
 ``im``; it has no arithmetic, since exact matrices compute on integer rows.
-``UniPoly`` keeps negation but no other ring operator: it is evaluated,
-reduced to its primitive and squarefree parts, and interpolated.  Interval
-arithmetic (``RationalInterval``, ``ComplexInterval``) keeps +, -, * and /.
+``UniPoly`` keeps negation but no other ring operator: it is evaluated at
+ints and Fractions only (an enclosure over an interval goes through
+``mpoly._evaluate_rational``), reduced to its primitive and squarefree
+parts, and interpolated.  Interval arithmetic (``RationalInterval``,
+``ComplexInterval``) keeps +, -, * and /.
 
 An ``AlgebraicReal`` refines its interval to the very cells of bisection by
 quadratic interval refinement, and takes gcds over the field it generates
@@ -493,17 +495,9 @@ class UniPoly:
         return acc, den * qk
 
     def __call__(self, x):
-        """f(x): at an int or Fraction, the integer Horner reduced by one gcd
-        at the end; at any other ring element (an interval, say), Horner in
-        that ring."""
-        if isinstance(x, (int, Fraction)):
-            return Fraction(*self._horner(x))
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
+        """f(x) at an int or Fraction x only: the integer Horner, reduced by
+        one gcd at the end."""
+        return Fraction(*self._horner(x))
 
     def sign_at(self, x) -> int:
         """The sign (-1, 0 or 1) of f at an int or Fraction x, read off the

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .exactnum import _over_common_den
-from .mpoly import MultiPoly, MonomialOrder, elimination_order, grevlex_order
+from .mpoly import MultiPoly, MonomialOrder, _form_degree, elimination_order, grevlex_order
 
 __all__ = [
     "Ideal",
@@ -453,10 +453,7 @@ def dual_curve(
     elimination ideal (the kernel of Q[y] into that ring) is radical and its
     principal generator squarefree.
     """
-    if len(p.variables) != 3:
-        raise ValueError("dual_curve expects a trivariate polynomial")
-    deg = p.homogeneous_degree() if not p.is_zero else None
-    if deg is None or deg < 2:
+    if _form_degree(p) < 2:
         raise ValueError("dual_curve expects a homogeneous polynomial of degree >= 2")
     if not p.squarefree_part().proportional_to(p):
         raise ValueError("dual_curve expects a squarefree polynomial")

@@ -479,6 +479,16 @@ class MultiPoly:
         return f"MultiPoly({format_poly(self)!r})"
 
 
+def _form_degree(q: MultiPoly) -> int:
+    """The degree of q, which must be a nonzero form in three variables."""
+    if len(q.variables) != 3:
+        raise ValueError("expected a polynomial in three homogeneous variables")
+    deg = q.homogeneous_degree()  # raises ValueError for the zero polynomial
+    if deg is None:
+        raise ValueError("polynomial must be homogeneous")
+    return deg
+
+
 def _evaluate_rational(terms, point):
     """Sum of c*X^e over a point of ints, Fractions and RationalIntervals:
     with the coordinate endpoints over one denominator D and the

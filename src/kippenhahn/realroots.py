@@ -22,7 +22,7 @@ from .exactnum import (
     simplest_in_interval,
     sturm_count,
 )
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, _form_degree
 
 __all__ = [
     "UniPoly",
@@ -409,16 +409,6 @@ def _infinity_singular_points(q: MultiPoly) -> list[SingularPoint]:
     if all(gr.evaluate((Fraction(0), Fraction(0), Fraction(1))) == 0 for gr in grads):
         out.append(SingularPoint(Fraction(0), Fraction(1), "infinity", 2, None))
     return out
-
-
-def _form_degree(q: MultiPoly) -> int:
-    """The degree of q, which must be a nonzero form in three variables."""
-    if len(q.variables) != 3:
-        raise ValueError("expected a polynomial in three homogeneous variables")
-    deg = q.homogeneous_degree()  # raises ValueError for the zero polynomial
-    if deg is None:
-        raise ValueError("polynomial must be homogeneous")
-    return deg
 
 
 def real_singular_points(q: MultiPoly) -> list[SingularPoint]:

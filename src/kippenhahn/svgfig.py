@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .convexgeom import _support_sweep
+from .convexgeom import _affine_values, _support_sweep
 from .mpoly import MultiPoly
 
 __all__ = [
@@ -36,10 +36,7 @@ def poly_grid(p: MultiPoly, bbox, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = np.zeros_like(X)
-    for exp, c in sorted(p.terms.items()):
-        Z += float(c) * X ** exp[1] * Y ** exp[2]
-    return xs, ys, Z
+    return xs, ys, _affine_values(sorted(p.terms.items()), X, Y)
 
 
 # corner bits: 0 = bottom-left, 1 = bottom-right, 2 = top-right, 3 = top-left;

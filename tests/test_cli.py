@@ -147,6 +147,7 @@ class TestDual:
         [
             ("x0^2*x1^2 - x1^4", "dual_curve expects a squarefree polynomial"),
             ("x0 + x1", "dual_curve expects a homogeneous polynomial of degree >= 2"),
+            ("x1^2 + x2^3", "polynomial must be homogeneous"),
         ],
     )
     def test_invalid_curve_exit_2(self, tmp_path, capsys, text, message):
@@ -156,6 +157,13 @@ class TestDual:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid curve: {message}\n"
+
+    @pytest.mark.parametrize(
+        "cmd", [["dual"], ["singular"], ["verify"], ["plot", "--panel", "supports"]]
+    )
+    def test_no_input_exit_2(self, capsys, cmd):
+        assert main(cmd) == 2
+        assert capsys.readouterr().err == "parse error: need --input FILE or --preset NAME\n"
 
     def test_zero_denominator_exit_2(self, tmp_path, capsys):
         f = tmp_path / "zero.poly"

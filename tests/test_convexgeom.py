@@ -16,6 +16,8 @@ from kippenhahn.convexgeom import (
     ProjPoint,
     TANGENCY_EPS,
     _GRID,
+    _affine_values,
+    _enclose,
     _generator_sign,
     _horner,
     _polar_line_param,
@@ -28,8 +30,10 @@ from kippenhahn.convexgeom import (
     line_curve_real_check,
     line_meets_interior_dual,
     point_outside_W,
+    run_verification,
     sample_kippenhahn_curve,
     tangency_check,
+    VerifyConfig,
 )
 from kippenhahn.exactnum import AlgebraicReal, ComplexInterval, RationalInterval, UniPoly
 from kippenhahn.groebner import dual_curve
@@ -244,6 +248,10 @@ class TestLineCurveRealCheck:
             line_curve_real_check(parabola_body(), (0, -2), (1, 0))
 
 
+# milli-steps in [-3, 3]: no power of one underflows
+_float_coord = st.integers(-3000, 3000).map(lambda k: k / 1000)
+
+
 class TestKippenhahnCloud:
     def test_two_by_two_is_ellipse(self):
         rng = random.Random(47)
@@ -279,6 +287,39 @@ class TestKippenhahnCloud:
         cloud = sample_kippenhahn_curve(body.pencil, 90)
         worst = max(abs(q.evaluate((1.0, a, b))) for a, b in cloud.points)
         assert worst <= 1e-6 * norm1
+
+    @pytest.mark.parametrize("name", ["eq3", "seed13"])
+    def test_check_matches_pointwise_evaluation(self, name):
+        # the check's maximum is, bit for bit, that of the scalar evaluation
+        # point by point in the check's term order
+        body = eq3_body() if name == "eq3" else PencilBody(make_random_pencil(random.Random(13), 3))
+        q = dual_curve(body.curve_poly).normalized()
+        cloud = sample_kippenhahn_curve(body.pencil, 120)
+        worst = np.abs(_affine_values(q.sorted_terms(), *cloud.points.T)).max()
+        reference = max(abs(q.evaluate((1.0, y1, y2))) for y1, y2 in cloud.points.tolist())
+        assert worst == reference
+        rel = reference / float(sum(abs(c) for c in q.terms.values()))
+        report = run_verification(body, VerifyConfig(resolution=120, lemma_samples=4, obs2_lines=4))
+        details = report["cloud_on_dual_curve"].details
+        assert details.startswith(f"max |q(1,y)| / ||q||_1 = {rel:.3e} ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
+            st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+            max_size=8,
+        ),
+        st.lists(st.tuples(_float_coord, _float_coord), min_size=1, max_size=6),
+    )
+    def test_affine_values_match_exact_evaluation(self, terms, points):
+        X, Y = np.array(points).T
+        got = _affine_values(sorted(terms.items()), X, Y)
+        for z, x, y in zip(got.tolist(), X.tolist(), Y.tolist()):
+            fx, fy = Fraction(x), Fraction(y)
+            exact = sum(c * fx ** e[1] * fy ** e[2] for e, c in terms.items())
+            scale = sum(abs(c * fx ** e[1] * fy ** e[2]) for e, c in terms.items())
+            assert abs(Fraction(z) - exact) <= Fraction(1, 10**12) * scale
 
     def test_matches_per_direction_solves(self):
         # the stacked sweep against one eigen_hermitian call per direction
@@ -402,6 +443,10 @@ class TestTangency:
         p = parse_poly("x0^2 - x1^2 - x2", V3)
         with pytest.raises(ValueError, match="^polynomial must be homogeneous$"):
             tangency_check(p, ProjPoint(1, 1, 0))
+
+    def test_nonzero_constant_has_no_witnesses(self):
+        # a nonzero constant's curve is empty
+        assert tangency_check(parse_poly("x0 - x0 + 2", V3), ProjPoint(1, 1, 0)) == []
 
     def test_fermat_conjugate_pair(self):
         p = parse_poly("x0^6 - x1^6 - x2^6", V3)
@@ -568,7 +613,7 @@ class TestContactDegree:
         g, gen = _restriction(p, y)
         w_iv = gen.refine(TANGENCY_EPS)
         for h in (g, g.diff(1)):
-            coeffs = [ComplexInterval(c(w_iv)) for c in h.coefficients(1)]
+            coeffs = [ComplexInterval(_enclose(c, w_iv)) for c in h.coefficients(1)]
             for T in (a, b):
                 assert _horner(coeffs, T).contains_zero()
 
@@ -670,6 +715,27 @@ class TestIntegerHorner:
         assert (got.re, got.im) == (acc.re, acc.im)
         for end in (got.re.lo, got.re.hi, got.im.lo, got.im.hi):
             assert type(end) is Fraction
+
+
+class TestEnclose:
+    """``_enclose`` is the census's interval evaluator on one variable."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_end, max_size=7).map(UniPoly),
+        _iv,
+        st.lists(st.fractions(min_value=0, max_value=1), max_size=4),
+    )
+    @example(UniPoly([]), RationalInterval(-1, 2), [])
+    @example(UniPoly([Fraction(1, 2), -3, 1]), RationalInterval(-1, 2), [Fraction(3, 4)])
+    def test_contains_the_values_and_is_exact_on_lines(self, f, iv, ts):
+        enc = _enclose(f, iv)
+        assert type(enc) is RationalInterval
+        for x in [iv.lo, iv.hi] + [iv.lo + t * (iv.hi - iv.lo) for t in ts]:
+            assert enc.lo <= f(x) <= enc.hi
+        if f.degree <= 1:
+            c0, c1 = (list(f.coeffs) + [0, 0])[:2]
+            assert enc == iv * c1 + c0
 
 
 class TestRestrictionPoly:

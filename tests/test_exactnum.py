@@ -223,11 +223,6 @@ class TestExactKernels:
         assert type(v) is Fraction
         assert v == sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(cs)), Fraction(0))
 
-    def test_unipoly_call_keeps_other_rings(self):
-        f = UniPoly([Fraction(1, 2), -3, 1])
-        t = RationalInterval(-1, 2)
-        assert f(t) == (t - 3) * t + Fraction(1, 2)  # Horner's enclosure
-
     @settings(max_examples=200, deadline=None)
     @given(_interval, _interval)
     def test_interval_product_is_the_endpoint_hull(self, iv1, iv2):

@@ -15,16 +15,22 @@ and `dual`, `singular` and `verify` on the fermat6 preset.  `verify` on a
 pencil is left out: its floats come from LAPACK, while the fermat6 oracle
 body calls no LAPACK.
 
-After a deliberate change of output, rewrite the files with
+The SVG panels that call no LAPACK are pinned by their SHA-256 in
+``tests/golden/plot-sha256.json``: `plot --panel dual-curve` on the eq3 and
+seed-13 pencils, and all four panels of the fermat6 preset.
+
+After a deliberate change of output, rewrite the files (pins included) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -68,6 +74,18 @@ CASES.update(
     {f"{cmd}-fermat6": [cmd, "--preset", "fermat6"] for cmd in ("dual", "singular", "verify")}
 )
 
+PLOTS = {
+    f"dual-curve-{name}": ["--input", str(GOLDEN / f"{name}.pencil"), "--panel", "dual-curve"]
+    for name in INPUTS
+}
+PLOTS.update(
+    {
+        f"{panel}-fermat6": ["--preset", "fermat6", "--panel", panel]
+        for panel in ("supports", "primal-curve", "dual-curve", "kippenhahn")
+    }
+)
+PINS = GOLDEN / "plot-sha256.json"
+
 
 def transcript(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
@@ -101,6 +119,17 @@ def test_transcript_unchanged(case):
     assert transcript(CASES[case]) == expected
 
 
+def plot_sha256(case, out_dir) -> str:
+    assert transcript(["plot", *PLOTS[case], "--out-dir", str(out_dir)])["exit"] == 0
+    (svg,) = Path(out_dir).glob("*.svg")
+    return hashlib.sha256(svg.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PLOTS))
+def test_plot_svg_unchanged(case, tmp_path):
+    assert plot_sha256(case, tmp_path) == json.loads(PINS.read_text())[case]
+
+
 if __name__ == "__main__":
     os.environ[CONFIG_ENV] = str(GOLDEN / "absent.cfg")
     for name, make in WRITTEN.items():
@@ -111,3 +140,7 @@ if __name__ == "__main__":
         text = json.dumps(transcript(argv), indent=1) + "\n"
         (GOLDEN / f"{case}.json").write_text(text)
         print(GOLDEN / f"{case}.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {case: plot_sha256(case, Path(tmp) / case) for case in sorted(PLOTS)}
+    PINS.write_text(json.dumps(pins, indent=1) + "\n")
+    print(PINS)
